@@ -23,6 +23,7 @@ from .bench import (
     write_ert_csv,
 )
 from .config import (
+    FORMAT_VERSION,
     ConfigError,
     RunConfig,
     SuiteSpec,
@@ -38,7 +39,6 @@ from .env import (
     ProtocolError,
     RolloutRecord,
     next_observation,
-    reward,
     run_episode,
 )
 from .ert import ErtStats, collect_records, estimate, expected_fe, expected_restarts, meta_fitness
@@ -86,8 +86,6 @@ from .problems import (
 )
 from .seeding import derive_seed, parallel_map, rng_from, stable_key
 
-FORMAT_VERSION = 1
-
 __all__ = [
     "FORMAT_VERSION",
     # problems
@@ -96,7 +94,7 @@ __all__ = [
     "optimum_value", "random_orthogonal",
     # episodes
     "ActionBatch", "EpisodeConfig", "Observation", "Optimizer",
-    "ProtocolError", "RolloutRecord", "next_observation", "reward", "run_episode",
+    "ProtocolError", "RolloutRecord", "next_observation", "run_episode",
     # policy
     "LearnedOptimizer", "PolicyConfig", "PolicyParams", "flatten",
     "init_params", "init_state", "load_params", "param_count",

@@ -31,7 +31,6 @@ __all__ = [
     "ProtocolError",
     "run_episode",
     "next_observation",
-    "reward",
 ]
 
 
@@ -81,7 +80,6 @@ class RolloutRecord:
     evals_to_success: int | None
     best_gap: float
     best_gap_trajectory: np.ndarray
-    rewards: np.ndarray
     episode_seed: int
 
     def __post_init__(self) -> None:
@@ -144,13 +142,6 @@ def next_observation(
     return Observation(prev_action.points, np.asarray(fitness, dtype=float), generation)
 
 
-def reward(prev_best_gap: float, new_best_gap: float) -> float:
-    """Per-step improvement of the best gap (recorded, not trained on)."""
-    if prev_best_gap < 0.0 or new_best_gap < 0.0:
-        raise ValueError("gaps must be non-negative")
-    return prev_best_gap - new_best_gap
-
-
 def _checked_points(action: ActionBatch, lam: int, dimension: int, generation: int) -> np.ndarray:
     if not isinstance(action, ActionBatch):
         raise ProtocolError(f"generation {generation}: optimizer returned {type(action).__name__}")
@@ -188,7 +179,6 @@ def run_episode(
     best_gap = float("inf")
     evals_to_success: int | None = None
     trajectory: list[float] = []
-    rewards: list[float] = []
     trace_rows: list[list] = []
 
     generation = 0
@@ -205,13 +195,7 @@ def run_episode(
                 trace_rows.append([generation, idx, *clamped[idx], fitness[idx]])
 
         gen_gap = float(fitness.min()) - f_star
-        if generation == 0:
-            rewards.append(0.0)
-            best_gap = gen_gap
-        else:
-            new_best = min(best_gap, gen_gap)
-            rewards.append(reward(best_gap, new_best))
-            best_gap = new_best
+        best_gap = gen_gap if generation == 0 else min(best_gap, gen_gap)
         trajectory.append(best_gap)
         if evals_to_success is None and best_gap <= config.tolerance:
             evals_to_success = evals_used
@@ -225,15 +209,12 @@ def run_episode(
 
     traj = np.asarray(trajectory, dtype=float)
     traj.flags.writeable = False
-    rew = np.asarray(rewards, dtype=float)
-    rew.flags.writeable = False
     return RolloutRecord(
         evals_used=evals_used,
         success=evals_to_success is not None,
         evals_to_success=evals_to_success,
         best_gap=best_gap,
         best_gap_trajectory=traj,
-        rewards=rew,
         episode_seed=config.episode_seed,
     )
 

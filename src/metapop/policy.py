@@ -12,6 +12,11 @@ per slot from N(mean, exp(log_sigma)) on every forward pass, and the emitted
 coordinate is tanh of the sampled projection, so actions always lie in
 [-1, 1].
 
+Gate sigmoids are computed in the overflow-free form ``exp(-|x|)`` over the
+whole gate block at once. This is bit-identical to the masked form that
+evaluates ``1/(1+exp(-x))`` and ``exp(x)/(1+exp(x))`` on each sign
+separately; ``tests/oracles.py`` keeps that form as the reference.
+
 Flat parameter layout (the mutation target of the outer loop), in order:
 layer 1 ``w_x`` row-major, ``w_h`` row-major, bias; layer 2 likewise; then
 readout means, then readout log-sigmas. Gate rows inside each weight matrix
@@ -190,12 +195,10 @@ def rank_transform(fitness: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; per sign this is 1/(1+exp(-x)) or
+    # exp(x)/(1+exp(x)), the same IEEE operations as a masked evaluation
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def act(
@@ -217,8 +220,7 @@ def act(
     if obs.is_empty:
         if state.prev_point is not None:
             raise ValueError("generation 0 requires a freshly initialized state")
-        x_val = np.zeros(n_slots)
-        rank_rep = np.zeros(n_slots)
+        inputs = np.zeros((n_slots, 2))
     else:
         pts = np.asarray(obs.prev_points, dtype=float)
         fit = np.asarray(obs.prev_fitness, dtype=float)
@@ -226,31 +228,33 @@ def act(
             raise ValueError(
                 f"observation shape {pts.shape}/{fit.shape} does not match state ({lam}, {d})"
             )
-        x_val = pts.ravel()
-        rank_rep = np.repeat(rank_transform(fit), d)
+        # per slot: (coordinate, rank of its individual), slots ordered (i, j)
+        pairs = np.empty((lam, d, 2))
+        pairs[:, :, 0] = pts
+        pairs[:, :, 1] = rank_transform(fit)[:, None]
+        inputs = pairs.reshape(n_slots, 2)
 
-    inputs = np.stack([x_val, rank_rep], axis=1)
     h_new = np.empty_like(state.h)
     c_new = np.empty_like(state.c)
     layer_in = inputs
     for li, layer in enumerate(params.layers):
-        gates = layer_in @ layer.w_x.T + state.h[li] @ layer.w_h.T + layer.b
-        gi = _sigmoid(gates[:, :hidden])
-        gf = _sigmoid(gates[:, hidden : 2 * hidden])
-        gg = np.tanh(gates[:, 2 * hidden : 3 * hidden])
-        go = _sigmoid(gates[:, 3 * hidden :])
-        c = gf * state.c[li] + gi * gg
-        h = go * np.tanh(c)
-        h_new[li] = h
-        c_new[li] = c
-        layer_in = h
+        # two matmuls, not one on stacked inputs: that would reorder the sums
+        gates = layer_in @ layer.w_x.T
+        gates += state.h[li] @ layer.w_h.T
+        gates += layer.b
+        # one sigmoid over the block serves i, f and o; g takes tanh instead
+        sig = _sigmoid(gates)
+        c = np.multiply(sig[:, hidden : 2 * hidden], state.c[li], out=c_new[li])
+        c += sig[:, :hidden] * np.tanh(gates[:, 2 * hidden : 3 * hidden])
+        layer_in = np.multiply(sig[:, 3 * hidden :], np.tanh(c), out=h_new[li])
 
     # one fresh readout-weight sample per slot, indexed by slot position so
     # the result is independent of any internal evaluation order
-    noise = rng_from(step_seed).standard_normal((n_slots, hidden + 1))
-    weights = params.out_mean + np.exp(params.out_log_sigma) * noise
-    h_with_bias = np.concatenate([layer_in, np.ones((n_slots, 1))], axis=1)
-    points = np.tanh(np.sum(weights * h_with_bias, axis=1)).reshape(lam, d)
+    weights = rng_from(step_seed).standard_normal((n_slots, hidden + 1))
+    weights *= np.exp(params.out_log_sigma)
+    weights += params.out_mean
+    weights[:, :hidden] *= layer_in  # the readout's bias input is 1
+    points = np.tanh(np.sum(weights, axis=1)).reshape(lam, d)
 
     for a in (h_new, c_new, points):
         a.flags.writeable = False

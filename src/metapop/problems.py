@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -322,11 +323,16 @@ def _form_griewank_rosenbrock(z: np.ndarray, task: Task) -> np.ndarray:
     return (10.0 / (d - 1)) * np.sum(chain / 4000.0 - np.cos(chain) + 1.0, axis=1)
 
 
+@lru_cache(maxsize=None)
+def _slope_magnitudes(dimension: int) -> np.ndarray:
+    mags = 10.0 ** np.linspace(0.0, 1.0, dimension)
+    mags.flags.writeable = False
+    return mags
+
+
 def linear_slope_vector(task: Task) -> np.ndarray:
     """Signed slope vector in natural coordinates; magnitudes 10^(i/(d-1))."""
-    d = task.dimension
-    mags = 10.0 ** np.linspace(0.0, 1.0, d)
-    return task.config.shift * mags
+    return task.config.shift * _slope_magnitudes(task.dimension)
 
 
 def _form_linear_slope(z: np.ndarray, task: Task) -> np.ndarray:

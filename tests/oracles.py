@@ -2,12 +2,20 @@
 
 Everything here is written in plain Python (loops, math module) on purpose,
 separately from the vectorized library code, so agreement between the two is
-meaningful. Keep these naive and slow.
+meaningful. Keep these naive and slow. The one exception is the reference
+policy step at the end, a frozen copy of the original vectorized step that
+optimized versions must match bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from metapop.env import ActionBatch, Observation
+from metapop.policy import PolicyParams, PolicyState, rank_transform
+from metapop.seeding import rng_from
 
 
 def naive_evaluate(task, x) -> float:
@@ -137,3 +145,73 @@ def naive_auc(budgets, fractions, fe_max: float) -> float:
         prev_b, prev_f = bc, f
     area += prev_f * (math.log10(fe_max) - math.log10(prev_b))
     return area / span
+
+
+# ---------------------------------------------------------------------------
+# Reference policy step: the masked-sigmoid forward pass exactly as first
+# written, kept verbatim so a faster ``policy.act`` can be checked against it
+# byte for byte. Unlike the rest of this file it is vectorized on purpose:
+# the point is identical IEEE operations, not an independent formulation.
+
+
+def reference_sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_act(
+    params: PolicyParams,
+    state: PolicyState,
+    obs: Observation,
+    step_seed: int,
+) -> tuple[ActionBatch, PolicyState]:
+    lam, d = state.lam, state.dim
+    n_slots = lam * d
+    hidden = params.layers[0].w_h.shape[1]
+
+    if obs.is_empty:
+        if state.prev_point is not None:
+            raise ValueError("generation 0 requires a freshly initialized state")
+        x_val = np.zeros(n_slots)
+        rank_rep = np.zeros(n_slots)
+    else:
+        pts = np.asarray(obs.prev_points, dtype=float)
+        fit = np.asarray(obs.prev_fitness, dtype=float)
+        if pts.shape != (lam, d) or fit.shape != (lam,):
+            raise ValueError(
+                f"observation shape {pts.shape}/{fit.shape} does not match state ({lam}, {d})"
+            )
+        x_val = pts.ravel()
+        rank_rep = np.repeat(rank_transform(fit), d)
+
+    inputs = np.stack([x_val, rank_rep], axis=1)
+    h_new = np.empty_like(state.h)
+    c_new = np.empty_like(state.c)
+    layer_in = inputs
+    for li, layer in enumerate(params.layers):
+        gates = layer_in @ layer.w_x.T + state.h[li] @ layer.w_h.T + layer.b
+        gi = reference_sigmoid(gates[:, :hidden])
+        gf = reference_sigmoid(gates[:, hidden : 2 * hidden])
+        gg = np.tanh(gates[:, 2 * hidden : 3 * hidden])
+        go = reference_sigmoid(gates[:, 3 * hidden :])
+        c = gf * state.c[li] + gi * gg
+        h = go * np.tanh(c)
+        h_new[li] = h
+        c_new[li] = c
+        layer_in = h
+
+    # one fresh readout-weight sample per slot, indexed by slot position so
+    # the result is independent of any internal evaluation order
+    noise = rng_from(step_seed).standard_normal((n_slots, hidden + 1))
+    weights = params.out_mean + np.exp(params.out_log_sigma) * noise
+    h_with_bias = np.concatenate([layer_in, np.ones((n_slots, 1))], axis=1)
+    points = np.tanh(np.sum(weights * h_with_bias, axis=1)).reshape(lam, d)
+
+    for a in (h_new, c_new, points):
+        a.flags.writeable = False
+    new_state = PolicyState(lam=lam, dim=d, h=h_new, c=c_new, prev_point=points)
+    return ActionBatch(points), new_state

@@ -52,7 +52,7 @@ def _record(traj, lam=10, fe_max=200):
     if success:
         g = int(np.nonzero(traj <= 1e-3)[0][0])
         first = min((g + 1) * lam, fe_max)
-    return RolloutRecord(evals, success, first, float(traj.min()), traj, np.zeros(len(traj)), 0)
+    return RolloutRecord(evals, success, first, float(traj.min()), traj, 0)
 
 
 class TestTargetSet:

@@ -13,7 +13,6 @@ from metapop.env import (
     Observation,
     ProtocolError,
     next_observation,
-    reward,
     run_episode,
 )
 from metapop.problems import (
@@ -99,18 +98,6 @@ class TestObservationPackaging:
             Observation(np.zeros((2, 2)), np.zeros(3), 1)
 
 
-class TestReward:
-    def test_improvement(self):
-        assert reward(0.5, 0.2) == pytest.approx(0.3)
-
-    def test_no_improvement(self):
-        assert reward(0.2, 0.2) == 0.0
-
-    def test_rejects_negative_gaps(self):
-        with pytest.raises(ValueError):
-            reward(-0.1, 0.0)
-
-
 class TestEpisodeConfig:
     def test_default_budget_is_100d(self):
         assert EpisodeConfig(lam=5).resolve_fe_max(3) == 300
@@ -155,14 +142,13 @@ class TestRunEpisode:
         assert len(rec.best_gap_trajectory) == 3
         assert [o.generation for o in opt.seen] == [0, 1, 2]
 
-    def test_rewards_telescope(self):
-        """Reward sum equals initial gap minus final gap; first reward is 0."""
+    def test_best_gap_trajectory_never_increases(self):
+        """The trajectory is a running best; it ends at the record's best gap."""
         task = make_instance(Family.RASTRIGIN, 2, 8)
         rec = run_episode(_UniformOptimizer(), task, EpisodeConfig(lam=5, episode_seed=3))
-        assert rec.rewards[0] == 0.0
         traj = rec.best_gap_trajectory
         assert (np.diff(traj) <= 0.0).all()
-        np.testing.assert_allclose(rec.rewards.sum(), traj[0] - traj[-1], atol=1e-12)
+        assert traj[-1] == rec.best_gap
 
     def test_success_freezes_but_episode_continues(self):
         """First-hit evals stay fixed even when later generations are worse."""
@@ -195,7 +181,6 @@ class TestRunEpisode:
         assert a.success == b.success
         assert a.best_gap == b.best_gap
         np.testing.assert_array_equal(a.best_gap_trajectory, b.best_gap_trajectory)
-        np.testing.assert_array_equal(a.rewards, b.rewards)
 
     def test_out_of_domain_actions_are_clamped(self):
         """Coordinates beyond the box are clamped, not rejected."""

@@ -32,7 +32,6 @@ def _rec(success: bool, first_hit: int | None, best_gap: float, initial_gap: flo
         evals_to_success=first_hit,
         best_gap=best_gap,
         best_gap_trajectory=traj,
-        rewards=np.array([0.0, initial_gap - best_gap]),
         episode_seed=0,
     )
 

@@ -1,0 +1,96 @@
+"""Golden hashes of a tiny train -> eval -> compare pipeline.
+
+The pinned sha256 values make "the same behaviour" a check: any change to the
+numbers a run produces (policy step, GA, episodes, ERT, ECDF, CSV formatting)
+changes a hash. A speed-up that is meant to keep every bit must leave these
+values alone; a deliberate numerics change re-pins them and says so.
+
+Bits are only promised per BLAS build (matmul summation order is the
+library's choice), so a failure prints the numpy and BLAS fingerprint.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import platform
+
+import numpy as np
+import pytest
+import yaml
+
+from metapop.cli import main
+
+#: (artifact path relative to the run directory) -> sha256, per dimension.
+GOLDEN = {
+    2: {
+        "train/history.csv": "1164e0d2613bdef187c560354f32c82a4a99488ba17b830d579e812265861ce6",
+        "train/best_genome.json": "6e0d83bcf12e19b43978731e5fbb4a47dd7e94c35d2a186fcb23e0bbdac4a5cb",
+        "eval/ecdf.csv": "45db816f45fd1ddd06f7a084fe0104bdbd33f345d22a6b1c44f6591f6bce9c69",
+        "eval/ert.csv": "2e680b6642a29815883a5715c3c9fdf0b0bc5345b4a52ca8f20c06b78111765e",
+        "compare/ecdf.csv": "cc26ccd90493f4780dd5aa4ef056b7cfd8cfad1da754f8cff600ee0c7af0196e",
+    },
+    5: {
+        "train/history.csv": "40d696f7d8127293e44bed23154904e2c1841fd53e15a16bf1547ddd2c37e696",
+        "train/best_genome.json": "a63cde102a904dce1ea5aa9a4b76f7fff4104d0435c4ca6f1a1094ddff654bc9",
+        "eval/ecdf.csv": "a8829e8f21f1a46cac7c15797ca360ce7ba3f59fe9864643584807382e3d5960",
+        "eval/ert.csv": "5166683b985e3e0ddbbf6348f2901b671fc1ee807ecd5fe17d3e678b5ec66af0",
+        "compare/ecdf.csv": "62f628ce9e4949425afcbb559211e968f619b24bbbc016b96de9601252f3e68c",
+    },
+}
+
+
+def _fingerprint() -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_id = f"{blas.get('name')} {blas.get('version')}"
+    except Exception as exc:  # show_config's layout is not a stable API
+        blas_id = f"unknown ({exc})"
+    return f"numpy {np.__version__}, BLAS {blas_id}, python {platform.python_version()}"
+
+
+def run_pipeline(tmp_path, dimension: int) -> dict[str, str]:
+    """Train 2 generations, then eval and compare the best genome; hash outputs.
+
+    Default policy architecture (hidden 32, 2 layers, lambda 10) on sphere and
+    linear-slope. The budget is not a multiple of lambda, so every episode
+    ends with a truncated generation.
+    """
+    tree = {
+        "suite": {
+            "families": ["sphere", "linear-slope"],
+            "dimension": dimension,
+            "instances_per_family": 3,
+            "split_ratio": [0.34, 0.33, 0.33],
+            "seed": 5,
+        },
+        "policy": {"lambda": 10},
+        "ga": {"population_size": 4, "n_elites": 1, "n_parents": 2, "generations": 2},
+        "episode": {"fe_max": 10 * dimension + 5, "tolerance": 0.1},
+        "runs_per_task": 2,
+        "master_seed": 17,
+        "workers": 1,
+    }
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(tree))
+    out = {name: tmp_path / name for name in ("train", "eval", "compare")}
+    genome = str(out["train"] / "best_genome.json")
+    common = ["--config", str(cfg)]
+    assert main(["train", *common, "--out", str(out["train"])]) == 0
+    assert main(["eval", *common, "--genome", genome, "--out", str(out["eval"])]) == 0
+    assert main(["compare", *common, "--genome", genome, "--baselines", "rs,cma-es",
+                 "--out", str(out["compare"])]) == 0
+    return {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN[dimension]
+    }
+
+
+@pytest.mark.parametrize("dimension", sorted(GOLDEN))
+def test_pipeline_artifacts_match_pinned_hashes(tmp_path, dimension):
+    got = run_pipeline(tmp_path, dimension)
+    changed = sorted(name for name, digest in got.items() if digest != GOLDEN[dimension][name])
+    assert not changed, (
+        f"artifacts changed at d={dimension}: {changed}\n"
+        f"got {got}\n"
+        f"pinned on one BLAS build; this one is {_fingerprint()}"
+    )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from metapop.policy import (
     LearnedOptimizer,
     PolicyConfig,
     PolicyState,
+    _sigmoid,
     act,
     flatten,
     init_params,
@@ -24,6 +27,7 @@ from metapop.policy import (
     unflatten,
 )
 from metapop.problems import Family, make_instance
+from metapop.seeding import derive_seed
 
 CFG = PolicyConfig(lam=4, hidden_size=32, num_layers=2)
 
@@ -296,6 +300,71 @@ class TestAct:
         bad = next_observation(ActionBatch(np.zeros((5, 3))), np.zeros(5), 1)
         with pytest.raises(ValueError):
             act(p, s1, bad, 1)
+
+
+class _LockstepOptimizer:
+    """Runs ``act`` and the frozen reference step side by side in one episode.
+
+    Each keeps its own state chain; every emitted batch must match byte for
+    byte, and the final states are kept for comparison.
+    """
+
+    def __init__(self, params, config):
+        self.params, self.config = params, config
+
+    def reset(self, lam, dimension, seed):
+        self.state = self.ref_state = init_state(self.config, lam, dimension)
+        self.seed, self.steps = seed, 0
+
+    def act(self, obs):
+        step_seed = derive_seed(self.seed, obs.generation)
+        batch, self.state = act(self.params, self.state, obs, step_seed)
+        ref, self.ref_state = oracles.reference_act(self.params, self.ref_state, obs, step_seed)
+        assert batch.points.shape == ref.points.shape
+        assert batch.points.tobytes() == ref.points.tobytes(), f"generation {obs.generation}"
+        self.steps += 1
+        return batch
+
+
+#: Inputs where a sigmoid formulation could overflow, underflow or lose sign.
+SIGMOID_EDGES = (0.0, 1e-300, 709.0, 745.2, 1e308, np.inf)
+
+
+class TestReferenceStep:
+    """``act`` is bit-identical to the original masked-sigmoid step."""
+
+    @pytest.mark.parametrize("lam,d", [(10, 2), (10, 5), (10, 10)])
+    @pytest.mark.parametrize("scale", [1.0, 25.0])
+    def test_full_episode_bytes_match(self, lam, d, scale):
+        """Every batch from generation 0 to a truncated last one, then h and c.
+
+        ``scale`` 25 blows the weights up so most gates saturate.
+        """
+        config = PolicyConfig(lam=lam)
+        params = unflatten(config, flatten(init_params(config, 31 + d)) * scale)
+        task = make_instance(Family.SPHERE, d, 400 + d)
+        fe_max = 20 * d + 7
+        opt = _LockstepOptimizer(params, config)
+        rec = run_episode(opt, task, EpisodeConfig(lam=lam, fe_max=fe_max, episode_seed=5))
+        assert rec.evals_used == fe_max
+        assert opt.steps == -(-fe_max // lam)
+        assert opt.state.h.tobytes() == opt.ref_state.h.tobytes()
+        assert opt.state.c.tobytes() == opt.ref_state.c.tobytes()
+
+    def test_sigmoid_bytes_match_on_edge_inputs(self):
+        x = np.array(SIGMOID_EDGES + tuple(-v for v in SIGMOID_EDGES))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sigmoid(x)
+            want = oracles.reference_sigmoid(x)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 100.0, 800.0])
+    def test_sigmoid_bytes_match_on_random_gates(self, scale):
+        x = np.random.default_rng(int(scale * 10)).normal(0.0, scale, (20, 128))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _sigmoid(x).tobytes() == oracles.reference_sigmoid(x).tobytes()
 
 
 class TestLearnedOptimizer:

@@ -18,6 +18,7 @@ from metapop.problems import (
     Task,
     evaluate,
     evaluate_batch,
+    linear_slope_vector,
     make_instance,
     make_suite,
     optimum_value,
@@ -210,6 +211,14 @@ class TestEvaluation:
         rng = np.random.default_rng(4)
         pts = rng.uniform(-0.999, 0.999, (1000, 4))
         assert (evaluate_batch(task, pts) > corner_val).all()
+
+    def test_linear_slope_vector_bytes_match_per_call_formula(self):
+        """Per-dimension cached magnitudes give the bits of recomputing them."""
+        for d in (1, 2, 3, 5, 10, 40):
+            task = make_instance(Family.LINEAR_SLOPE, d, 17 + d)
+            want = task.config.shift * 10.0 ** np.linspace(0.0, 1.0, d)
+            for _ in range(2):
+                assert linear_slope_vector(task).tobytes() == want.tobytes()
 
     def test_schwefel_well_constant(self):
         """The per-coordinate well value matches the classic constant."""
