@@ -17,10 +17,8 @@ import yaml
 from .bench import TargetSet, default_targets
 from .env import EpisodeConfig
 from .ga import GaConfig
-from .policy import PolicyConfig
+from .policy import FORMAT_VERSION, PolicyConfig
 from .problems import Family, TaskSuite, make_suite
-
-FORMAT_VERSION = 1
 
 _TOP_KEYS = {
     "suite", "policy", "ga", "episode",

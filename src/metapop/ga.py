@@ -1,11 +1,16 @@
 """Outer-loop meta-optimizer: a seed-list genetic algorithm over policies.
 
 Each genome encodes a full parameter vector compactly as an initialization
-seed plus an ordered list of (mutation seed, sigma) pairs; decoding replays
-the seeded Gaussian perturbations, so genomes stay a few dozen bytes no
-matter how large the policy is. Selection is truncation to the best
-``n_parents`` with ``n_elites`` copied unchanged; mutation strength follows
-a decaying schedule with a floor.
+seed plus an ordered list of (mutation seed, sigma) pairs, so genomes stay a
+few dozen bytes no matter how large the policy is (Such et al., *Deep
+Neuroevolution*, arXiv:1712.06567). A full decode replays every seeded
+Gaussian perturbation, at a cost that grows with the lineage, so ``train``
+decodes incrementally: it keeps the parameters of the previous round's
+``n_parents`` best genomes, making an elite a lookup and a child one
+Gaussian draw on its parent's vector -- the last step of a full replay, hence
+bit-identical. Selection is truncation to the best ``n_parents`` with
+``n_elites`` copied unchanged; mutation strength follows a decaying schedule
+with a floor.
 
 Fitness is the meta-objective (mean expected-FE over the training tasks,
 lower is better). Within one generation every genome is scored with the same
@@ -19,16 +24,16 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .env import EpisodeConfig
 from .ert import meta_fitness
-from .policy import LearnedOptimizer, PolicyConfig, PolicyParams, flatten, init_params, param_count, unflatten
+from .policy import FORMAT_VERSION, LearnedOptimizer, PolicyConfig, PolicyParams, flatten, init_params, param_count, unflatten
 from .problems import TaskSuite
 from .seeding import derive_seed, parallel_map, rng_from
 
@@ -104,18 +109,46 @@ class TrainHistory:
         return len(self.rows)
 
 
-def decode(genome: Genome, policy_config: PolicyConfig) -> PolicyParams:
-    """Replay the genome into concrete parameters. Pure and bit-stable."""
-    theta = flatten(init_params(policy_config, genome.init_seed))
+#: Flat parameter vectors of already decoded genomes, keyed by genome.
+Ancestors = Mapping[Genome, np.ndarray]
+
+
+def _decode_flat(genome: Genome, policy_config: PolicyConfig, ancestors: Ancestors | None) -> np.ndarray:
+    ancestors = ancestors or {}
+    if genome in ancestors:
+        return ancestors[genome]
+    parent = Genome(genome.init_seed, genome.mutations[:-1])
+    if genome.mutations and parent in ancestors:
+        theta, mutations = ancestors[parent], genome.mutations[-1:]
+    else:
+        theta, mutations = flatten(init_params(policy_config, genome.init_seed)), genome.mutations
     n = param_count(policy_config)
-    for seed, sigma in genome.mutations:
+    for seed, sigma in mutations:
         theta = theta + sigma * np.random.default_rng(seed).standard_normal(n)
-    return unflatten(policy_config, theta)
+    return theta
+
+
+def decode(genome: Genome, policy_config: PolicyConfig, ancestors: Ancestors | None = None) -> PolicyParams:
+    """Expand the genome's seed list into concrete parameters. Pure and bit-stable.
+
+    Without ``ancestors`` this replays the whole lineage from the init seed.
+    With them, a genome found in the mapping costs a lookup and a genome
+    whose parent (its lineage minus the last mutation) is found costs one
+    Gaussian draw; any other genome falls back to the full replay. The
+    result is the same bytes either way, provided each vector in
+    ``ancestors`` is the decode of its key.
+    """
+    return unflatten(policy_config, _decode_flat(genome, policy_config, ancestors))
 
 
 def sigma_schedule(generation: int, config: GaConfig) -> float:
     """Decayed mutation strength, floored at sigma_min."""
     return max(config.sigma0 * config.sigma_decay**generation, config.sigma_min)
+
+
+def _ranking(fitnesses: Sequence[float]) -> list[int]:
+    """Indices best first: ascending fitness, ties by index."""
+    return sorted(range(len(fitnesses)), key=lambda i: (fitnesses[i], i))
 
 
 def evolve_step(
@@ -138,7 +171,7 @@ def evolve_step(
     if not all(math.isfinite(f) for f in fitnesses):
         raise ValueError("fitnesses must be finite")
 
-    order = sorted(range(len(population)), key=lambda i: (fitnesses[i], i))
+    order = _ranking(fitnesses)
     ranked = [population[i] for i in order]
     sigma = sigma_schedule(generation, config)
     rng = rng_from(seed)
@@ -157,8 +190,9 @@ def _genome_fitness(
     runs_per_task: int,
     episode_config: EpisodeConfig,
     seed: int,
+    ancestors: Ancestors | None = None,
 ) -> float:
-    optimizer = LearnedOptimizer(decode(genome, policy_config), policy_config)
+    optimizer = LearnedOptimizer(decode(genome, policy_config, ancestors), policy_config)
     return meta_fitness(optimizer, tasks, runs_per_task, episode_config, seed)
 
 
@@ -187,6 +221,9 @@ def train(
 
     ``fixed_episode_seeds`` reuses one episode-seed block across all rounds
     (noise-free mode: elitism then makes the best fitness non-increasing).
+
+    After each round but the last, the flat vectors of its ``n_parents`` best
+    genomes are kept as the :func:`decode` ancestors of the next round.
     """
     train_tasks = suite.train_tasks
     if not train_tasks:
@@ -198,6 +235,7 @@ def train(
     ]
     rows: list[HistoryRow] = []
     best_genome = population[0]
+    ancestors: dict[Genome, np.ndarray] = {}
     started = time.monotonic()
 
     for g in range(ga_config.generations + 1):
@@ -209,10 +247,17 @@ def train(
             runs_per_task=runs_per_task,
             episode_config=episode_config,
             seed=eval_seed,
+            ancestors=ancestors,
         )
         fitnesses = parallel_map(score, population, workers)
-        best_idx = min(range(len(fitnesses)), key=lambda i: (fitnesses[i], i))
+        order = _ranking(fitnesses)
+        best_idx = order[0]
         best_genome = population[best_idx]
+        if g < ga_config.generations:
+            ancestors = {
+                population[i]: _decode_flat(population[i], policy_config, ancestors)
+                for i in order[: ga_config.n_parents]
+            }
         val_best = math.nan
         if val_tasks:
             val_best = _genome_fitness(
@@ -222,6 +267,7 @@ def train(
                 runs_per_task=runs_per_task,
                 episode_config=episode_config,
                 seed=derive_seed(master_seed, 3, g),
+                ancestors=ancestors,
             )
         rows.append(
             HistoryRow(
@@ -266,14 +312,8 @@ def genome_from_json(data: dict) -> Genome:
 
 def save_genome(path: str | Path, genome: Genome, policy_config: PolicyConfig) -> None:
     payload = {
-        "format_version": 1,
-        "policy_config": {
-            "lambda": policy_config.lam,
-            "hidden_size": policy_config.hidden_size,
-            "num_layers": policy_config.num_layers,
-            "input_size": policy_config.input_size,
-            "output_size": policy_config.output_size,
-        },
+        "format_version": FORMAT_VERSION,
+        "policy_config": policy_config.to_json(),
         "genome": genome_to_json(genome),
     }
     Path(path).write_text(json.dumps(payload))
@@ -281,17 +321,9 @@ def save_genome(path: str | Path, genome: Genome, policy_config: PolicyConfig) -
 
 def load_genome(path: str | Path) -> tuple[Genome, PolicyConfig]:
     payload = json.loads(Path(path).read_text())
-    if payload.get("format_version") != 1:
+    if payload.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported genome file version {payload.get('format_version')}")
-    pc = payload["policy_config"]
-    config = PolicyConfig(
-        lam=pc["lambda"],
-        hidden_size=pc["hidden_size"],
-        num_layers=pc["num_layers"],
-        input_size=pc["input_size"],
-        output_size=pc["output_size"],
-    )
-    return genome_from_json(payload["genome"]), config
+    return genome_from_json(payload["genome"]), PolicyConfig.from_json(payload["policy_config"])
 
 
 def write_ga_checkpoint(
@@ -305,23 +337,9 @@ def write_ga_checkpoint(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
-        "format_version": 1,
-        "ga_config": {
-            "population_size": ga_config.population_size,
-            "n_elites": ga_config.n_elites,
-            "n_parents": ga_config.n_parents,
-            "sigma0": ga_config.sigma0,
-            "sigma_decay": ga_config.sigma_decay,
-            "sigma_min": ga_config.sigma_min,
-            "generations": ga_config.generations,
-        },
-        "policy_config": {
-            "lambda": policy_config.lam,
-            "hidden_size": policy_config.hidden_size,
-            "num_layers": policy_config.num_layers,
-            "input_size": policy_config.input_size,
-            "output_size": policy_config.output_size,
-        },
+        "format_version": FORMAT_VERSION,
+        "ga_config": asdict(ga_config),
+        "policy_config": policy_config.to_json(),
         "generation": generation,
         "population": [genome_to_json(g) for g in population],
         "history": [
@@ -333,27 +351,11 @@ def write_ga_checkpoint(
 
 def load_ga_checkpoint(path: str | Path) -> dict:
     payload = json.loads(Path(path).read_text())
-    if payload.get("format_version") != 1:
+    if payload.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('format_version')}")
-    gc = payload["ga_config"]
-    pc = payload["policy_config"]
     return {
-        "ga_config": GaConfig(
-            population_size=gc["population_size"],
-            n_elites=gc["n_elites"],
-            n_parents=gc["n_parents"],
-            sigma0=gc["sigma0"],
-            sigma_decay=gc["sigma_decay"],
-            sigma_min=gc["sigma_min"],
-            generations=gc["generations"],
-        ),
-        "policy_config": PolicyConfig(
-            lam=pc["lambda"],
-            hidden_size=pc["hidden_size"],
-            num_layers=pc["num_layers"],
-            input_size=pc["input_size"],
-            output_size=pc["output_size"],
-        ),
+        "ga_config": GaConfig(**payload["ga_config"]),
+        "policy_config": PolicyConfig.from_json(payload["policy_config"]),
         "generation": payload["generation"],
         "population": [genome_from_json(g) for g in payload["population"]],
         "history": TrainHistory(

@@ -51,6 +51,10 @@ __all__ = [
     "load_params",
 ]
 
+#: Version written into and required from every JSON artifact: run configs,
+#: genome, parameter and checkpoint files all embed this module's formats.
+FORMAT_VERSION = 1
+
 
 @dataclass(frozen=True)
 class PolicyConfig:
@@ -67,6 +71,20 @@ class PolicyConfig:
             raise ValueError("lam, hidden_size and num_layers must be positive")
         if self.input_size != 2 or self.output_size != 1:
             raise ValueError("the architecture is fixed to 2 inputs and 1 output")
+
+    def to_json(self) -> dict:
+        """The artifact block; its key order is part of the files' bytes."""
+        return {
+            "lambda": self.lam,
+            "hidden_size": self.hidden_size,
+            "num_layers": self.num_layers,
+            "input_size": self.input_size,
+            "output_size": self.output_size,
+        }
+
+    @classmethod
+    def from_json(cls, data: dict) -> PolicyConfig:
+        return cls(data["lambda"], data["hidden_size"], data["num_layers"], data["input_size"], data["output_size"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,14 +307,8 @@ _OPTIMIZER_CHECK: type[Optimizer] = LearnedOptimizer  # interface conformance
 def save_params(path: str | Path, config: PolicyConfig, params: PolicyParams) -> None:
     """Write a policy checkpoint as JSON (exact float round-trip)."""
     payload = {
-        "format_version": 1,
-        "policy_config": {
-            "lambda": config.lam,
-            "hidden_size": config.hidden_size,
-            "num_layers": config.num_layers,
-            "input_size": config.input_size,
-            "output_size": config.output_size,
-        },
+        "format_version": FORMAT_VERSION,
+        "policy_config": config.to_json(),
         "flat_params": [float(v) for v in flatten(params)],
     }
     Path(path).write_text(json.dumps(payload))
@@ -304,15 +316,8 @@ def save_params(path: str | Path, config: PolicyConfig, params: PolicyParams) ->
 
 def load_params(path: str | Path) -> tuple[PolicyConfig, PolicyParams]:
     payload = json.loads(Path(path).read_text())
-    if payload.get("format_version") != 1:
+    if payload.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('format_version')}")
-    pc = payload["policy_config"]
-    config = PolicyConfig(
-        lam=pc["lambda"],
-        hidden_size=pc["hidden_size"],
-        num_layers=pc["num_layers"],
-        input_size=pc["input_size"],
-        output_size=pc["output_size"],
-    )
+    config = PolicyConfig.from_json(payload["policy_config"])
     params = unflatten(config, np.asarray(payload["flat_params"], dtype=float))
     return config, params

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from metapop.config import FORMAT_VERSION
 from metapop.env import EpisodeConfig
 from metapop.ga import (
     GaConfig,
@@ -21,6 +23,7 @@ from metapop.ga import (
     save_genome,
     sigma_schedule,
     train,
+    write_ga_checkpoint,
     write_history_csv,
 )
 from metapop.policy import PolicyConfig, flatten, init_params
@@ -67,6 +70,47 @@ class TestDecode:
             Genome(-1)
         with pytest.raises(ValueError):
             Genome(0, ((1, 0.0),))
+
+
+class TestDecodeWithAncestors:
+    """Decoding from cached ancestors gives the bytes of a full replay."""
+
+    PARENT = Genome(7, ((11, 0.3), (13, 0.2), (17, 0.25)))
+
+    @staticmethod
+    def flat(genome, ancestors=None):
+        return flatten(decode(genome, PC, ancestors)).tobytes()
+
+    @classmethod
+    def cached(cls, *genomes):
+        return {g: flatten(decode(g, PC)) for g in genomes}
+
+    def test_child_of_cached_parent(self):
+        child = Genome(7, self.PARENT.mutations + ((19, 0.1),))
+        assert self.flat(child, self.cached(self.PARENT)) == self.flat(child)
+
+    def test_cached_elite(self):
+        assert self.flat(self.PARENT, self.cached(self.PARENT)) == self.flat(self.PARENT)
+
+    def test_no_cached_ancestor_replays_from_init_seed(self):
+        grandchild = Genome(7, self.PARENT.mutations + ((19, 0.1), (23, 0.05)))
+        for genome in (Genome(7), grandchild):
+            assert self.flat(genome, self.cached(self.PARENT, Genome(8))) == self.flat(genome)
+
+    def test_unrelated_lineages_never_match(self):
+        child = Genome(7, self.PARENT.mutations + ((19, 0.1),))
+        other_init = Genome(8, self.PARENT.mutations)
+        other_seed = Genome(7, ((11, 0.3), (14, 0.2), (17, 0.25)))
+        other_sigma = Genome(7, ((11, 0.3), (13, 0.2), (17, 0.5)))
+        for decoy in (other_init, other_seed, other_sigma):
+            assert self.flat(child, self.cached(decoy)) == self.flat(child)
+
+    def test_parent_vector_is_used(self):
+        """The child is drawn on top of the cached vector, not replayed."""
+        child = Genome(7, self.PARENT.mutations + ((19, 0.1),))
+        zero = np.zeros_like(flatten(decode(self.PARENT, PC)))
+        got = flatten(decode(child, PC, {self.PARENT: zero}))
+        np.testing.assert_array_equal(got, 0.1 * np.random.default_rng(19).standard_normal(zero.size))
 
 
 class TestSigmaSchedule:
@@ -225,6 +269,18 @@ class TestSerialization:
         save_genome(path, g, PC)
         g2, pc2 = load_genome(path)
         assert g2 == g and pc2 == PC
+
+    def test_files_carry_the_format_version(self, tmp_path):
+        genome_path, checkpoint_path = tmp_path / "best.json", tmp_path / "ckpt.json"
+        save_genome(genome_path, Genome(5), PC)
+        write_ga_checkpoint(checkpoint_path, SMALL_GA, PC, 0, [Genome(5)] * 8, TrainHistory(()))
+        for path, load in ((genome_path, load_genome), (checkpoint_path, load_ga_checkpoint)):
+            payload = json.loads(path.read_text())
+            assert payload["format_version"] == FORMAT_VERSION
+            payload["format_version"] = FORMAT_VERSION + 1
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match="version"):
+                load(path)
 
     def test_history_csv_format(self, tmp_path):
         hist = TrainHistory(rows=tuple())

@@ -12,6 +12,7 @@ library's choice), so a failure prints the numpy and BLAS fingerprint.
 from __future__ import annotations
 
 import hashlib
+import json
 import platform
 
 import numpy as np
@@ -36,6 +37,12 @@ GOLDEN = {
         "eval/ert.csv": "5166683b985e3e0ddbbf6348f2901b671fc1ee807ecd5fe17d3e678b5ec66af0",
         "compare/ecdf.csv": "62f628ce9e4949425afcbb559211e968f619b24bbbc016b96de9601252f3e68c",
     },
+}
+
+#: Artifacts of a 28-generation train whose best genome carries a long lineage.
+LINEAGE_GOLDEN = {
+    "history.csv": "738b2b4ab4acc63311c6a005970e2aa3bb143b6e35240fa5922a704a348fe784",
+    "best_genome.json": "581b545ba863b651799e312ff5a88c1955819c7fcdb049938325d542a92686f7",
 }
 
 
@@ -94,3 +101,42 @@ def test_pipeline_artifacts_match_pinned_hashes(tmp_path, dimension):
         f"got {got}\n"
         f"pinned on one BLAS build; this one is {_fingerprint()}"
     )
+
+
+def run_lineage_train(tmp_path, workers: int) -> dict[str, str]:
+    """Train 28 generations on one sphere task at d=2; hash the outputs.
+
+    Population 8 with 4 parents, so the returned genome's lineage is 20 or
+    more mutations long; the pinned hashes therefore cover a decode that
+    reuses ancestors' parameters many generations deep.
+    """
+    tree = {
+        "suite": {
+            "families": ["sphere"],
+            "dimension": 2,
+            "instances_per_family": 3,
+            "split_ratio": [0.34, 0.33, 0.33],
+            "seed": 5,
+        },
+        "policy": {"lambda": 10},
+        "ga": {"population_size": 8, "n_elites": 1, "n_parents": 4, "generations": 28},
+        "episode": {"fe_max": 20, "tolerance": 0.1},
+        "runs_per_task": 1,
+        "master_seed": 23,
+        "workers": workers,
+    }
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(tree))
+    out = tmp_path / f"train-w{workers}"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    genome = json.loads((out / "best_genome.json").read_text())["genome"]
+    assert len(genome["mutations"]) >= 20
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in LINEAGE_GOLDEN}
+
+
+def test_long_lineage_train_matches_pinned_hashes_at_any_worker_count(tmp_path):
+    serial = run_lineage_train(tmp_path, workers=1)
+    assert serial == LINEAGE_GOLDEN, (
+        f"got {serial}\npinned on one BLAS build; this one is {_fingerprint()}"
+    )
+    assert run_lineage_train(tmp_path, workers=2) == serial

@@ -394,6 +394,12 @@ class TestLearnedOptimizer:
 
 
 class TestCheckpoint:
+    def test_config_json_roundtrip_and_key_order(self):
+        cfg = PolicyConfig(lam=7, hidden_size=5, num_layers=3)
+        data = cfg.to_json()
+        assert list(data) == ["lambda", "hidden_size", "num_layers", "input_size", "output_size"]
+        assert PolicyConfig.from_json(data) == cfg
+
     def test_roundtrip_bit_exact(self, tmp_path):
         p = init_params(CFG, 12)
         path = tmp_path / "policy.json"
