@@ -1,9 +1,10 @@
 """Evaluation harness: ECDF curves, ERT tables, and optimizer comparisons.
 
 Follows the COCO benchmarking methodology: each (task, run) episode is
-executed once and its best-gap trajectory is scanned for the first-hit
-evaluation count of every target precision. The ECDF aggregates those
-first hits over all (task, target, run) triples as a function of budget.
+executed once, up to the first generation that reaches the tightest target,
+and its best-gap trajectory is scanned for the first-hit evaluation count of
+every target precision. The ECDF aggregates those first hits over all
+(task, target, run) triples as a function of budget.
 First hits are resolved at generation granularity: hitting during
 generation g costs min((g + 1) * lam, fe_max) evaluations.
 """
@@ -137,6 +138,11 @@ def _curve_from_hits(hit_budgets: list[int], n_pairs: int) -> EcdfCurve:
     return EcdfCurve(tuple(budgets), tuple(fractions), n_pairs)
 
 
+def _stop_gap(targets: TargetSet, episode_config: EpisodeConfig) -> float:
+    """Gap after which no first hit, and no record's ``success``, can change."""
+    return min(targets.tolerance, episode_config.tolerance)
+
+
 def run_ecdf(
     optimizer: Optimizer,
     tasks: Sequence[Task],
@@ -149,7 +155,8 @@ def run_ecdf(
     """ECDF of first-hit times over all (task, target, run) triples."""
     if not tasks:
         raise ValueError("tasks must be non-empty")
-    grouped = collect_records(optimizer, tasks, runs_per_task, episode_config, seed, workers)
+    grouped = collect_records(optimizer, tasks, runs_per_task, episode_config, seed, workers,
+                              stop_gap=_stop_gap(targets, episode_config))
     hit_budgets: list[int] = []
     for task, records in zip(tasks, grouped):
         fe_max = episode_config.resolve_fe_max(task.dimension)
@@ -180,7 +187,8 @@ def ert_table(
     """Per-(task, target) ERT statistics, treating each target as success."""
     if not tasks:
         raise ValueError("tasks must be non-empty")
-    grouped = collect_records(optimizer, tasks, runs_per_task, episode_config, seed, workers)
+    grouped = collect_records(optimizer, tasks, runs_per_task, episode_config, seed, workers,
+                              stop_gap=_stop_gap(targets, episode_config))
     rows: list[ErtRow] = []
     for task, records in zip(tasks, grouped):
         fe_max = episode_config.resolve_fe_max(task.dimension)

@@ -5,10 +5,14 @@ One environment step is one generation: the optimizer proposes a batch of
 and packages the batch plus its fitness values into the next observation.
 The optimizer never sees the task identity, the optimum value, or gradients.
 
-Episodes always run to budget exhaustion. Reaching the success tolerance
-freezes ``evals_to_success`` at that generation's cumulative evaluation
-count, but the trajectory keeps going so that fixed-length statistics and
-first-hit times come from the same run.
+An episode runs until its budget ``fe_max`` is spent. Reaching the success
+tolerance freezes ``evals_to_success`` at that generation's cumulative
+evaluation count. A caller that reads only first-hit times (ERT and ECDF
+scoring) can pass ``stop_gap`` to end the episode at the first generation
+whose best gap reaches it: every draw is addressed by (episode seed,
+generation), so the generations that do run are the same as in the
+full-budget episode, and no first hit at or above ``stop_gap`` can change
+afterwards.
 """
 
 from __future__ import annotations
@@ -73,7 +77,13 @@ class ActionBatch:
 
 @dataclass(frozen=True)
 class RolloutRecord:
-    """Everything the meta-level needs from one finished episode."""
+    """Everything the meta-level needs from one finished episode.
+
+    ``best_gap_trajectory`` holds the best gap so far after each generation
+    that ran. An episode stopped early by ``run_episode(stop_gap=...)`` has
+    ``evals_used < fe_max`` whenever it stopped before its last generation,
+    and its trajectory is correspondingly shorter.
+    """
 
     evals_used: int
     success: bool
@@ -160,12 +170,17 @@ def run_episode(
     task: Task,
     config: EpisodeConfig,
     trace_path: str | Path | None = None,
+    stop_gap: float | None = None,
 ) -> RolloutRecord:
-    """Run one full episode of the optimizer on the task.
+    """Run one episode of the optimizer on the task.
 
     Deterministic given (optimizer parameters, task, config). The final
     generation is truncated if the budget is not a multiple of ``lam``:
     only the first remaining points of the batch are evaluated.
+
+    With ``stop_gap`` None the episode spends its whole budget. Otherwise it
+    ends right after the first generation whose best gap is at most
+    ``stop_gap``; the generations before that are unchanged.
     """
     lam = config.lam
     d = task.dimension
@@ -199,6 +214,8 @@ def run_episode(
         trajectory.append(best_gap)
         if evals_to_success is None and best_gap <= config.tolerance:
             evals_to_success = evals_used
+        if stop_gap is not None and best_gap <= stop_gap:
+            break
 
         if evals_used < fe_max:
             obs = next_observation(ActionBatch(clamped), fitness, generation + 1)

@@ -128,9 +128,11 @@ def episode_seed_for(seed: int, task: Task, run: int) -> int:
     return derive_seed(seed, stable_key(task.task_id), run)
 
 
-def _episode_job(item: tuple[Task, int], optimizer: Optimizer, config: EpisodeConfig) -> RolloutRecord:
+def _episode_job(
+    item: tuple[Task, int], optimizer: Optimizer, config: EpisodeConfig, stop_gap: float | None
+) -> RolloutRecord:
     task, ep_seed = item
-    return run_episode(optimizer, task, replace(config, episode_seed=ep_seed))
+    return run_episode(optimizer, task, replace(config, episode_seed=ep_seed), stop_gap=stop_gap)
 
 
 def collect_records(
@@ -140,11 +142,13 @@ def collect_records(
     episode_config: EpisodeConfig,
     seed: int,
     workers: int = 0,
+    stop_gap: float | None = None,
 ) -> list[list[RolloutRecord]]:
     """Run the full (task x run) episode grid; records grouped per task.
 
     Schedule-independent: every episode's seed comes from its own (task,
     run) coordinates, and results are reassembled in input order.
+    ``stop_gap`` is passed to every :func:`run_episode`.
     """
     if not tasks:
         raise ValueError("tasks must be non-empty")
@@ -155,7 +159,8 @@ def collect_records(
         for task in tasks
         for run in range(runs_per_task)
     ]
-    flat = parallel_map(partial(_episode_job, optimizer=optimizer, config=episode_config), jobs, workers)
+    job = partial(_episode_job, optimizer=optimizer, config=episode_config, stop_gap=stop_gap)
+    flat = parallel_map(job, jobs, workers)
     return [
         flat[t * runs_per_task : (t + 1) * runs_per_task] for t in range(len(tasks))
     ]
@@ -169,8 +174,14 @@ def meta_fitness(
     seed: int,
     workers: int = 0,
 ) -> float:
-    """Mean expected-FE over tasks; the outer loop minimizes this."""
-    grouped = collect_records(optimizer, tasks, runs_per_task, episode_config, seed, workers)
+    """Mean expected-FE over tasks; the outer loop minimizes this.
+
+    Episodes stop at the success tolerance: a success needs only its first
+    hit, and the zero-success fallback only sees tasks where no episode
+    succeeded, which therefore ran their full budgets.
+    """
+    grouped = collect_records(optimizer, tasks, runs_per_task, episode_config, seed, workers,
+                              stop_gap=episode_config.tolerance)
     per_task = []
     for task, records in zip(tasks, grouped):
         fe_max = episode_config.resolve_fe_max(task.dimension)

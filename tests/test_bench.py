@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from metapop.baselines import RandomSearch
+from metapop import ert
+from metapop.baselines import CmaEs, RandomSearch
 from metapop.bench import (
     ComparisonReport,
     EcdfCurve,
@@ -23,8 +27,9 @@ from metapop.bench import (
     write_ecdf_csv,
     write_ert_csv,
 )
-from metapop.env import ActionBatch, EpisodeConfig, RolloutRecord
+from metapop.env import ActionBatch, EpisodeConfig, RolloutRecord, run_episode
 from metapop.ert import meta_fitness
+from metapop.policy import LearnedOptimizer, PolicyConfig, init_params
 from metapop.problems import Family, InstanceConfig, Task, make_instance, make_suite
 
 
@@ -195,6 +200,69 @@ class TestErtTable:
         rows = ert_table(RandomSearch(), tasks, TargetSet((tol,)), cfg, 6, seed=11)
         mean_p = math.fsum(r.stats.p_hat for r in rows) / len(rows)
         assert abs(curve.final_fraction - mean_p) <= 1e-12
+
+
+def _full_budget_episodes():
+    """Patch the scoring paths back to episodes that ignore ``stop_gap``."""
+
+    def full_budget(optimizer, task, config, stop_gap=None):
+        return run_episode(optimizer, task, config)
+
+    return mock.patch.object(ert, "run_episode", full_budget)
+
+
+def _scores(optimizer, tasks, targets, cfg):
+    return (
+        meta_fitness(optimizer, tasks, 2, cfg, seed=7).hex(),
+        run_ecdf(optimizer, tasks, targets, cfg, 2, seed=7),
+        repr(ert_table(optimizer, tasks, targets, cfg, 2, seed=7)),
+    )
+
+
+class TestScoringStopIsExact:
+    """Scoring stops each episode early and still gives the full-budget bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["learned", "rs", "cma-es"]),
+        init_seed=st.integers(0, 2**16),
+        families=st.lists(st.sampled_from(list(Family)), min_size=2, max_size=3, unique=True),
+        instance_seed=st.integers(0, 1000),
+        tightest=st.sampled_from([1.0, 1e-1, 1e-2]),
+        tolerance_ratio=st.sampled_from([0.1, 1.0, 10.0]),
+        lam=st.sampled_from([4, 6]),
+        fe_max=st.integers(12, 60),
+    )
+    def test_meta_fitness_ecdf_and_ert_rows_match_full_budget(
+        self, kind, init_seed, families, instance_seed, tightest, tolerance_ratio, lam, fe_max
+    ):
+        if kind == "learned":
+            config = PolicyConfig(lam=lam)
+            optimizer = LearnedOptimizer(init_params(config, seed=init_seed), config)
+        else:
+            optimizer = RandomSearch() if kind == "rs" else CmaEs()
+        tasks = [make_instance(f, 2, instance_seed + i) for i, f in enumerate(families)]
+        targets = default_targets(final=tightest, per_decade=2)
+        cfg = EpisodeConfig(lam=lam, fe_max=max(fe_max, lam), tolerance=tightest * tolerance_ratio)
+        stopped = _scores(optimizer, tasks, targets, cfg)
+        with _full_budget_episodes():
+            full = _scores(optimizer, tasks, targets, cfg)
+        assert stopped == full
+
+    def test_each_path_passes_its_stop_gap(self):
+        """meta_fitness stops at the tolerance, the bench paths at the tighter gap."""
+        seen = []
+
+        def spy(optimizer, task, config, stop_gap=None):
+            seen.append(stop_gap)
+            return run_episode(optimizer, task, config, stop_gap=stop_gap)
+
+        tasks = [make_instance(Family.SPHERE, 2, 3)]
+        with mock.patch.object(ert, "run_episode", spy):
+            for tolerance in (0.01, 1.0):
+                cfg = EpisodeConfig(lam=5, fe_max=20, tolerance=tolerance)
+                _scores(RandomSearch(), tasks, TargetSet((1.0, 0.1)), cfg)
+        assert seen == [0.01] * 6 + [1.0] * 2 + [0.1] * 4
 
 
 class TestAuc:

@@ -245,6 +245,67 @@ class TestRunEpisode:
         assert rec.evals_used == 300
 
 
+class TestStopGap:
+    """``stop_gap`` ends an episode at its first generation that reaches it."""
+
+    @staticmethod
+    def _check_stop(optimizer_factory, task, cfg, stop_gap):
+        full = run_episode(optimizer_factory(), task, cfg)
+        opt = optimizer_factory()
+        stopped = run_episode(opt, task, cfg, stop_gap=stop_gap)
+        fe_max = cfg.resolve_fe_max(task.dimension)
+        reached = np.nonzero(full.best_gap_trajectory <= stop_gap)[0]
+        if reached.size == 0:
+            g = len(full.best_gap_trajectory) - 1
+            assert stopped.evals_used == full.evals_used == fe_max
+        else:
+            g = int(reached[0])
+            assert stopped.evals_used == min((g + 1) * cfg.lam, fe_max)
+        assert len(stopped.best_gap_trajectory) == g + 1
+        np.testing.assert_array_equal(stopped.best_gap_trajectory, full.best_gap_trajectory[: g + 1])
+        assert stopped.best_gap == full.best_gap_trajectory[g]
+        if stop_gap <= cfg.tolerance:
+            assert stopped.success == full.success
+            assert stopped.evals_to_success == full.evals_to_success
+        return stopped, opt
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stops_at_first_generation_reaching_the_gap(self, seed):
+        task = make_instance(Family.SPHERE, 2, 40 + seed)
+        cfg = EpisodeConfig(lam=7, fe_max=200, tolerance=0.1, episode_seed=seed)
+        traj = run_episode(_UniformOptimizer(), task, cfg).best_gap_trajectory
+        stops = 0
+        for stop_gap in (traj[3], traj[len(traj) // 2], cfg.tolerance, traj[-1], traj[-1] / 2):
+            rec, opt = self._check_stop(_CaptureOptimizer, task, cfg, float(stop_gap))
+            assert len(opt.seen) == len(rec.best_gap_trajectory)
+            stops += rec.evals_used < 200
+        assert stops >= 2
+
+    def test_stop_in_a_truncated_last_generation_spends_fe_max(self):
+        task = _origin_sphere(offset=0.0)
+
+        class _HitAtFour:
+            def reset(self, lam, dimension, seed):
+                self._g = 0
+
+            def act(self, obs):
+                pts = np.zeros((5, 2)) if self._g == 4 else np.full((5, 2), 0.9)
+                self._g += 1
+                return ActionBatch(pts)
+
+        cfg = EpisodeConfig(lam=5, fe_max=23)
+        rec, _ = self._check_stop(_HitAtFour, task, cfg, cfg.tolerance)
+        assert rec.evals_used == 23 and rec.evals_to_success == 23
+
+    def test_immediate_optimum_stops_after_one_generation(self):
+        task = make_instance(Family.RASTRIGIN, 3, 4)
+        point = np.tile(task.optimum_location(), (6, 1))
+        cfg = EpisodeConfig(lam=6, fe_max=60)
+        rec, _ = self._check_stop(lambda: _ConstantOptimizer(point), task, cfg, cfg.tolerance)
+        assert rec.evals_used == 6 and rec.evals_to_success == 6
+        np.testing.assert_array_equal(rec.best_gap_trajectory, np.zeros(1))
+
+
 class TestRandomSearchSuccessRate:
     def test_matches_independent_monte_carlo(self):
         """Episode success rate agrees with a raw uniform-draw simulation.
@@ -262,6 +323,7 @@ class TestRandomSearchSuccessRate:
                 _UniformOptimizer(),
                 task,
                 EpisodeConfig(lam=10, fe_max=200, tolerance=cfg_tol, episode_seed=seed),
+                stop_gap=cfg_tol,
             )
             hits += rec.success
         env_rate = hits / n_episodes

@@ -46,6 +46,16 @@ LINEAGE_GOLDEN = {
 }
 
 
+#: A pipeline whose episodes mostly succeed well inside their budget.
+SLOPE_GOLDEN = {
+    "train/history.csv": "fc7dff3029fa57b23a2b57f6c33981b11da16ba31ecbce23107ceb46e3dcfe7b",
+    "train/best_genome.json": "e17b019e7dd2d69066110574f987bf00947e76150e6c9ab3b6cc547f7a243b3a",
+    "eval/ecdf.csv": "dd008a24d77d7dabf54d2abbca8a4dfe3300f6407cfc729bf4fe52fad9c2110c",
+    "eval/ert.csv": "846e4b754487d3118d832d24855309d93f8665d78d5222a608311bc5b9016d7b",
+    "compare/ecdf.csv": "b0f1545c118b774c367cba758c07ecb69ba14214f0522c31d1bc281dd47ae218",
+}
+
+
 def _fingerprint() -> str:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -77,6 +87,11 @@ def run_pipeline(tmp_path, dimension: int) -> dict[str, str]:
         "master_seed": 17,
         "workers": 1,
     }
+    return _cli_pipeline_hashes(tmp_path, tree, GOLDEN[dimension])
+
+
+def _cli_pipeline_hashes(tmp_path, tree: dict, names) -> dict[str, str]:
+    """CLI train, then eval and compare of its best genome; hash the named files."""
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump(tree))
     out = {name: tmp_path / name for name in ("train", "eval", "compare")}
@@ -86,10 +101,7 @@ def run_pipeline(tmp_path, dimension: int) -> dict[str, str]:
     assert main(["eval", *common, "--genome", genome, "--out", str(out["eval"])]) == 0
     assert main(["compare", *common, "--genome", genome, "--baselines", "rs,cma-es",
                  "--out", str(out["compare"])]) == 0
-    return {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in GOLDEN[dimension]
-    }
+    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names}
 
 
 @pytest.mark.parametrize("dimension", sorted(GOLDEN))
@@ -140,3 +152,35 @@ def test_long_lineage_train_matches_pinned_hashes_at_any_worker_count(tmp_path):
         f"got {serial}\npinned on one BLAS build; this one is {_fingerprint()}"
     )
     assert run_lineage_train(tmp_path, workers=2) == serial
+
+
+def run_slope_pipeline(tmp_path) -> dict[str, str]:
+    """Train, eval and compare on linear-slope at d=2 with a 200-eval budget.
+
+    Many episodes reach the 1e-3 tolerance in the middle of their budget
+    and some never do, so the hashes cover both the first-hit records the
+    scoring paths read and the zero-success fallback of the meta-objective.
+    """
+    tree = {
+        "suite": {
+            "families": ["linear-slope"],
+            "dimension": 2,
+            "instances_per_family": 9,
+            "split_ratio": [0.34, 0.33, 0.33],
+            "seed": 5,
+        },
+        "policy": {"lambda": 10},
+        "ga": {"population_size": 6, "n_elites": 1, "n_parents": 3, "generations": 2},
+        "episode": {"fe_max": 200, "tolerance": 1e-3},
+        "runs_per_task": 3,
+        "master_seed": 29,
+        "workers": 1,
+    }
+    return _cli_pipeline_hashes(tmp_path, tree, SLOPE_GOLDEN)
+
+
+def test_slope_pipeline_with_mid_budget_successes_matches_pinned_hashes(tmp_path):
+    got = run_slope_pipeline(tmp_path)
+    assert got == SLOPE_GOLDEN, (
+        f"got {got}\npinned on one BLAS build; this one is {_fingerprint()}"
+    )
