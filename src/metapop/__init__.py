@@ -13,6 +13,7 @@ from .bench import (
     EcdfCurve,
     ErtRow,
     TargetSet,
+    collect,
     compare,
     default_targets,
     ecdf_auc,
@@ -38,7 +39,6 @@ from .env import (
     Optimizer,
     ProtocolError,
     RolloutRecord,
-    next_observation,
     run_episode,
 )
 from .ert import ErtStats, collect_records, estimate, expected_fe, expected_restarts, meta_fitness
@@ -81,7 +81,6 @@ from .problems import (
     evaluate_batch,
     make_instance,
     make_suite,
-    optimum_value,
     random_orthogonal,
 )
 from .seeding import derive_seed, parallel_map, rng_from, stable_key
@@ -91,10 +90,10 @@ __all__ = [
     # problems
     "DomainError", "Family", "InstanceConfig", "Split", "Task", "TaskSuite",
     "evaluate", "evaluate_batch", "make_instance", "make_suite",
-    "optimum_value", "random_orthogonal",
+    "random_orthogonal",
     # episodes
     "ActionBatch", "EpisodeConfig", "Observation", "Optimizer",
-    "ProtocolError", "RolloutRecord", "next_observation", "run_episode",
+    "ProtocolError", "RolloutRecord", "run_episode",
     # policy
     "LearnedOptimizer", "PolicyConfig", "PolicyParams", "flatten",
     "init_params", "init_state", "load_params", "param_count",
@@ -111,7 +110,7 @@ __all__ = [
     "sigma_schedule", "train", "write_ga_checkpoint", "write_history_csv",
     # benchmarking
     "ComparisonEntry", "ComparisonReport", "EcdfCurve", "ErtRow",
-    "TargetSet", "compare", "default_targets", "ecdf_auc", "ert_table",
+    "TargetSet", "collect", "compare", "default_targets", "ecdf_auc", "ert_table",
     "first_hits", "run_ecdf", "write_ecdf_csv", "write_ert_csv",
     # configuration
     "ConfigError", "RunConfig", "SuiteSpec", "canonical_mapping",

@@ -1,10 +1,13 @@
 """Evaluation harness: ECDF curves, ERT tables, and optimizer comparisons.
 
-Follows the COCO benchmarking methodology: each (task, run) episode is
-executed once, up to the first generation that reaches the tightest target,
-and its best-gap trajectory is scanned for the first-hit evaluation count of
-every target precision. The ECDF aggregates those first hits over all
-(task, target, run) triples as a function of budget.
+Follows the COCO benchmarking methodology. :func:`collect` runs each
+(task, run) episode once, up to the first generation that reaches the
+tightest target, and returns the records grouped per task. Everything else
+is a pure function of those records: :func:`first_hits` scans a record's
+best-gap trajectory for the first-hit evaluation count of every target
+precision, :func:`run_ecdf` aggregates those first hits over all
+(task, target, run) triples as a function of budget, and :func:`ert_table`
+turns them into per-(task, target) ERT statistics.
 First hits are resolved at generation granularity: hitting during
 generation g costs min((g + 1) * lam, fe_max) evaluations.
 """
@@ -27,6 +30,7 @@ __all__ = [
     "default_targets",
     "EcdfCurve",
     "first_hits",
+    "collect",
     "run_ecdf",
     "ErtRow",
     "ert_table",
@@ -138,12 +142,7 @@ def _curve_from_hits(hit_budgets: list[int], n_pairs: int) -> EcdfCurve:
     return EcdfCurve(tuple(budgets), tuple(fractions), n_pairs)
 
 
-def _stop_gap(targets: TargetSet, episode_config: EpisodeConfig) -> float:
-    """Gap after which no first hit, and no record's ``success``, can change."""
-    return min(targets.tolerance, episode_config.tolerance)
-
-
-def run_ecdf(
+def collect(
     optimizer: Optimizer,
     tasks: Sequence[Task],
     targets: TargetSet,
@@ -151,21 +150,34 @@ def run_ecdf(
     runs_per_task: int,
     seed: int,
     workers: int = 0,
+) -> list[list[RolloutRecord]]:
+    """Run the (task x run) episode grid once; records grouped per task.
+
+    Each episode stops at the tightest gap that any derivation reads: the
+    final target, or the episode tolerance if that is tighter (it decides
+    each record's ``success``). No first hit can change after it.
+    """
+    return collect_records(optimizer, tasks, runs_per_task, episode_config, seed, workers,
+                           stop_gap=min(targets.tolerance, episode_config.tolerance))
+
+
+def run_ecdf(
+    tasks: Sequence[Task],
+    grouped: Sequence[Sequence[RolloutRecord]],
+    targets: TargetSet,
+    episode_config: EpisodeConfig,
 ) -> EcdfCurve:
     """ECDF of first-hit times over all (task, target, run) triples."""
-    if not tasks:
-        raise ValueError("tasks must be non-empty")
-    grouped = collect_records(optimizer, tasks, runs_per_task, episode_config, seed, workers,
-                              stop_gap=_stop_gap(targets, episode_config))
     hit_budgets: list[int] = []
-    for task, records in zip(tasks, grouped):
+    n_records = 0
+    for task, records in zip(tasks, grouped, strict=True):
         fe_max = episode_config.resolve_fe_max(task.dimension)
+        n_records += len(records)
         for rec in records:
             for hit in first_hits(rec, targets, episode_config.lam, fe_max):
                 if hit is not None:
                     hit_budgets.append(hit)
-    n_pairs = len(tasks) * len(targets) * runs_per_task
-    return _curve_from_hits(hit_budgets, n_pairs)
+    return _curve_from_hits(hit_budgets, n_records * len(targets))
 
 
 @dataclass(frozen=True)
@@ -176,21 +188,14 @@ class ErtRow:
 
 
 def ert_table(
-    optimizer: Optimizer,
     tasks: Sequence[Task],
+    grouped: Sequence[Sequence[RolloutRecord]],
     targets: TargetSet,
     episode_config: EpisodeConfig,
-    runs_per_task: int,
-    seed: int,
-    workers: int = 0,
 ) -> list[ErtRow]:
     """Per-(task, target) ERT statistics, treating each target as success."""
-    if not tasks:
-        raise ValueError("tasks must be non-empty")
-    grouped = collect_records(optimizer, tasks, runs_per_task, episode_config, seed, workers,
-                              stop_gap=_stop_gap(targets, episode_config))
     rows: list[ErtRow] = []
-    for task, records in zip(tasks, grouped):
+    for task, records in zip(tasks, grouped, strict=True):
         fe_max = episode_config.resolve_fe_max(task.dimension)
         per_target_hits = [
             first_hits(rec, targets, episode_config.lam, fe_max) for rec in records
@@ -263,7 +268,8 @@ def compare(
     fe_max = max(episode_config.resolve_fe_max(t.dimension) for t in tasks)
     entries = []
     for name, optimizer in optimizers:
-        curve = run_ecdf(optimizer, tasks, targets, episode_config, runs_per_task, seed, workers)
+        grouped = collect(optimizer, tasks, targets, episode_config, runs_per_task, seed, workers)
+        curve = run_ecdf(tasks, grouped, targets, episode_config)
         entries.append(
             ComparisonEntry(
                 name=name,

@@ -15,7 +15,7 @@ from json import JSONDecodeError
 from pathlib import Path
 
 from .baselines import CmaEs, RandomSearch
-from .bench import compare, ecdf_auc, ert_table, run_ecdf, write_ecdf_csv, write_ert_csv
+from .bench import collect, compare, ecdf_auc, ert_table, run_ecdf, write_ecdf_csv, write_ert_csv
 from .config import FORMAT_VERSION, ConfigError, RunConfig, config_hash, load_config
 from .ga import decode, load_genome, save_genome, train, write_history_csv
 from .policy import LearnedOptimizer, load_params, save_params
@@ -170,10 +170,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     targets = config.targets()
     optimizer = LearnedOptimizer(params, policy_config)
 
-    curve = run_ecdf(optimizer, tasks, targets, episode, config.runs_per_task,
-                     config.master_seed, workers=workers)
-    rows = ert_table(optimizer, tasks, targets, episode, config.runs_per_task,
-                     config.master_seed, workers=workers)
+    grouped = collect(optimizer, tasks, targets, episode, config.runs_per_task,
+                      config.master_seed, workers=workers)
+    curve = run_ecdf(tasks, grouped, targets, episode)
+    rows = ert_table(tasks, grouped, targets, episode)
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -66,8 +66,8 @@ class RunConfig:
     """Everything a command needs: suite, networks, outer loop, budgets."""
 
     suite: SuiteSpec
-    policy: PolicyConfig = field(default_factory=lambda: PolicyConfig(lam=10))
-    ga: GaConfig = field(default_factory=GaConfig)
+    policy: PolicyConfig = PolicyConfig(lam=10)
+    ga: GaConfig = GaConfig()
     fe_max: int | None = None
     tolerance: float = 1e-3
     runs_per_task: int = 5
@@ -157,7 +157,7 @@ def _parse_suite(section: dict) -> SuiteSpec:
     families = tuple(
         _parse_family(name, f"suite.families[{i}]") for i, name in enumerate(raw_families)
     )
-    ratio = section.get("split_ratio", (0.1, 0.1, 0.8))
+    ratio = section.get("split_ratio", SuiteSpec.split_ratio)
     if not isinstance(ratio, (list, tuple)) or len(ratio) != 3:
         raise ConfigError("suite.split_ratio: expected a list of three fractions")
     return SuiteSpec(
@@ -167,20 +167,18 @@ def _parse_suite(section: dict) -> SuiteSpec:
             section.get("instances_per_family", 10), "suite.instances_per_family", minimum=3
         ),
         split_ratio=tuple(_as_float(r, f"suite.split_ratio[{i}]") for i, r in enumerate(ratio)),
-        seed=_as_int(section.get("seed", 0), "suite.seed", minimum=0),
+        seed=_as_int(section.get("seed", SuiteSpec.seed), "suite.seed", minimum=0),
     )
 
 
 def _parse_policy(section: dict) -> PolicyConfig:
     _reject_unknown(section, {"lambda", "hidden_size", "num_layers"}, "policy")
-    try:
-        return PolicyConfig(
-            lam=_as_int(section.get("lambda", 10), "policy.lambda", minimum=2),
-            hidden_size=_as_int(section.get("hidden_size", 32), "policy.hidden_size", minimum=1),
-            num_layers=_as_int(section.get("num_layers", 2), "policy.num_layers", minimum=1),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"policy: {exc}") from None
+    defaults = RunConfig.policy
+    return PolicyConfig(
+        lam=_as_int(section.get("lambda", defaults.lam), "policy.lambda", minimum=2),
+        hidden_size=_as_int(section.get("hidden_size", defaults.hidden_size), "policy.hidden_size", 1),
+        num_layers=_as_int(section.get("num_layers", defaults.num_layers), "policy.num_layers", 1),
+    )
 
 
 def _parse_ga(section: dict) -> GaConfig:
@@ -227,10 +225,10 @@ def config_from_mapping(data: dict) -> RunConfig:
         policy=_parse_policy(_as_section(data.get("policy", {}), "policy")),
         ga=_parse_ga(_as_section(data.get("ga", {}), "ga")),
         fe_max=fe_max,
-        tolerance=_as_float(episode.get("tolerance", 1e-3), "episode.tolerance"),
-        runs_per_task=_as_int(data.get("runs_per_task", 5), "runs_per_task", minimum=1),
-        master_seed=_as_int(data.get("master_seed", 0), "master_seed", minimum=0),
-        output_dir=_as_str(data.get("output_dir", "runs"), "output_dir"),
+        tolerance=_as_float(episode.get("tolerance", RunConfig.tolerance), "episode.tolerance"),
+        runs_per_task=_as_int(data.get("runs_per_task", RunConfig.runs_per_task), "runs_per_task", 1),
+        master_seed=_as_int(data.get("master_seed", RunConfig.master_seed), "master_seed", 0),
+        output_dir=_as_str(data.get("output_dir", RunConfig.output_dir), "output_dir"),
         workers=workers,
     )
 

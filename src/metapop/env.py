@@ -34,7 +34,6 @@ __all__ = [
     "Optimizer",
     "ProtocolError",
     "run_episode",
-    "next_observation",
 ]
 
 
@@ -137,21 +136,6 @@ class Optimizer(Protocol):
         ...
 
 
-def next_observation(
-    prev_action: ActionBatch | None,
-    fitness: np.ndarray | None,
-    generation: int,
-) -> Observation:
-    """Package the evaluated batch into the observation for ``generation``."""
-    if generation == 0:
-        if prev_action is not None or fitness is not None:
-            raise ValueError("generation 0 takes no inputs")
-        return Observation(None, None, 0)
-    if prev_action is None or fitness is None:
-        raise ValueError("non-initial observations need points and fitness")
-    return Observation(prev_action.points, np.asarray(fitness, dtype=float), generation)
-
-
 def _checked_points(action: ActionBatch, lam: int, dimension: int, generation: int) -> np.ndarray:
     if not isinstance(action, ActionBatch):
         raise ProtocolError(f"generation {generation}: optimizer returned {type(action).__name__}")
@@ -188,7 +172,7 @@ def run_episode(
     f_star = task.optimum_value
 
     optimizer.reset(lam, d, config.episode_seed)
-    obs = next_observation(None, None, 0)
+    obs = Observation(None, None, 0)
 
     evals_used = 0
     best_gap = float("inf")
@@ -218,7 +202,7 @@ def run_episode(
             break
 
         if evals_used < fe_max:
-            obs = next_observation(ActionBatch(clamped), fitness, generation + 1)
+            obs = Observation(clamped, fitness, generation + 1)
         generation += 1
 
     if trace_path is not None:

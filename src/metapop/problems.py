@@ -49,7 +49,6 @@ __all__ = [
     "make_suite",
     "evaluate",
     "evaluate_batch",
-    "optimum_value",
 ]
 
 
@@ -372,8 +371,3 @@ def evaluate_batch(task: Task, points: np.ndarray) -> np.ndarray:
 def evaluate(task: Task, x: np.ndarray) -> float:
     """Evaluate one normalized point in [-1, 1]^d."""
     return float(evaluate_batch(task, np.asarray(x, dtype=float)[None, :])[0])
-
-
-def optimum_value(task: Task) -> float:
-    """Global minimum of the task over the normalized domain."""
-    return task.optimum_value

@@ -14,7 +14,7 @@ import numpy as np
 import yaml
 
 from metapop.baselines import CmaEs, RandomSearch, default_cma_lambda
-from metapop.bench import TargetSet, default_targets, ecdf_auc, ert_table, run_ecdf
+from metapop.bench import TargetSet, collect, default_targets, ecdf_auc, ert_table, run_ecdf
 from metapop.cli import main
 from metapop.env import EpisodeConfig, Observation, run_episode
 from metapop.ert import expected_fe, expected_restarts
@@ -154,8 +154,9 @@ def test_4_baseline_sanity_cma_solves_sphere_and_rs_matches_volume(capsys):
     tol = 0.5
     tasks = [make_instance(Family.SPHERE, 2, 4000 + i) for i in range(50)]
     cfg = EpisodeConfig(lam=10, fe_max=200, tolerance=tol)
-    curve = run_ecdf(RandomSearch(), tasks, TargetSet((tol,)), cfg, 4, seed=17,
-                     workers=_WORKERS)
+    targets = TargetSet((tol,))
+    grouped = collect(RandomSearch(), tasks, targets, cfg, 4, seed=17, workers=_WORKERS)
+    curve = run_ecdf(tasks, grouped, targets, cfg)
     rng = np.random.default_rng(18)
     predictions = []
     for task in tasks:
@@ -184,13 +185,13 @@ def test_5_learned_optimizer_beats_random_search_on_linear_slope(capsys):
                     master_seed=0, workers=_WORKERS)
     learned = LearnedOptimizer(decode(best, policy_config), policy_config)
 
-    targets = default_targets()
-    learned_curve = run_ecdf(learned, suite.test_tasks, targets, episode, 3,
-                             seed=2026, workers=_WORKERS)
-    rs_curve = run_ecdf(RandomSearch(), suite.test_tasks, targets, episode, 3,
-                        seed=2026, workers=_WORKERS)
-    tight = run_ecdf(learned, suite.test_tasks, TargetSet((1e-3,)), episode, 3,
-                     seed=2026, workers=_WORKERS)
+    tasks, targets, tight_targets = suite.test_tasks, default_targets(), TargetSet((1e-3,))
+    learned_grid = collect(learned, tasks, targets, episode, 3, seed=2026, workers=_WORKERS)
+    rs_grid = collect(RandomSearch(), tasks, targets, episode, 3, seed=2026, workers=_WORKERS)
+    tight_grid = collect(learned, tasks, tight_targets, episode, 3, seed=2026, workers=_WORKERS)
+    learned_curve = run_ecdf(tasks, learned_grid, targets, episode)
+    rs_curve = run_ecdf(tasks, rs_grid, targets, episode)
+    tight = run_ecdf(tasks, tight_grid, tight_targets, episode)
     learned_auc = ecdf_auc(learned_curve, 200)
     rs_auc = ecdf_auc(rs_curve, 200)
 
@@ -261,10 +262,10 @@ def test_7_single_target_ecdf_final_equals_mean_success_rate(capsys):
     ]
     for optimizer, tasks, tol in runs:
         cfg = EpisodeConfig(lam=6, fe_max=60, tolerance=tol)
-        curve = run_ecdf(optimizer, tasks, TargetSet((tol,)), cfg, 5, seed=9,
-                         workers=_WORKERS)
-        rows = ert_table(optimizer, tasks, TargetSet((tol,)), cfg, 5, seed=9,
-                         workers=_WORKERS)
+        targets = TargetSet((tol,))
+        grouped = collect(optimizer, tasks, targets, cfg, 5, seed=9, workers=_WORKERS)
+        curve = run_ecdf(tasks, grouped, targets, cfg)
+        rows = ert_table(tasks, grouped, targets, cfg)
         mean_p = math.fsum(r.stats.p_hat for r in rows) / len(rows)
         worst = max(worst, abs(curve.final_fraction - mean_p))
     elapsed = time.time() - start

@@ -18,6 +18,7 @@ from metapop.bench import (
     ComparisonReport,
     EcdfCurve,
     TargetSet,
+    collect,
     compare,
     default_targets,
     ecdf_auc,
@@ -113,24 +114,56 @@ class TestEcdfCurve:
         assert c.final_fraction == 0.75
 
 
+class TestDerivationsFromRecords:
+    """ECDF and ERT rows are pure functions of hand-built records."""
+
+    TASKS = [_origin_sphere(task_id="a"), _origin_sphere(task_id="b")]
+    GROUPED = [
+        [_record([5.0, 0.5, 0.05]), _record([5.0, 5.0, 5.0])],
+        [_record([0.5]), _record([0.05])],
+    ]
+    TARGETS = TargetSet((1.0, 0.1))
+    CFG = EpisodeConfig(lam=10, fe_max=200)
+
+    def test_ecdf_counts_first_hits_over_all_triples(self):
+        curve = run_ecdf(self.TASKS, self.GROUPED, self.TARGETS, self.CFG)
+        assert curve.budgets == (10, 20, 30)
+        assert curve.fraction_solved == (3 / 8, 4 / 8, 5 / 8)
+        assert curve.n_pairs == 8
+
+    def test_ert_rows_per_task_and_target(self):
+        rows = ert_table(self.TASKS, self.GROUPED, self.TARGETS, self.CFG)
+        assert [(r.task_id, r.target, r.stats.p_hat, r.stats.expected_fe) for r in rows] == [
+            ("a", 1.0, 0.5, 220.0),
+            ("a", 0.1, 0.5, 230.0),
+            ("b", 1.0, 1.0, 10.0),
+            ("b", 0.1, 0.5, 210.0),
+        ]
+
+    @pytest.mark.parametrize("derive", [run_ecdf, ert_table])
+    def test_tasks_and_record_groups_must_align(self, derive):
+        with pytest.raises(ValueError):
+            derive(self.TASKS, self.GROUPED[:1], self.TARGETS, self.CFG)
+        with pytest.raises(ValueError):
+            derive(self.TASKS[:1], self.GROUPED, self.TARGETS, self.CFG)
+
+
 class TestRunEcdf:
     def test_instant_optimizer_is_a_step_at_lambda(self):
         """Hitting every target in generation one yields a single step."""
-        task = _origin_sphere()
+        tasks, targets, cfg = [_origin_sphere()], default_targets(), EpisodeConfig(lam=5, fe_max=50)
         opt = _ConstantOptimizer(np.zeros((5, 2)))
-        curve = run_ecdf(opt, [task], default_targets(), EpisodeConfig(lam=5, fe_max=50), 3, seed=0)
+        curve = run_ecdf(tasks, collect(opt, tasks, targets, cfg, 3, seed=0), targets, cfg)
         assert curve.budgets == (5,)
         assert curve.fraction_solved == (1.0,)
         assert curve.n_pairs == 1 * 26 * 3
 
     def test_half_solved_curve(self):
         """One of two targets hit at 10 evals, the other never: flat 0.5."""
-        task = _origin_sphere()
+        tasks, targets, cfg = [_origin_sphere()], TargetSet((1.0, 1e-3)), EpisodeConfig(lam=10, fe_max=50)
         pts = np.full((10, 2), 0.1)  # gap = 25 * 0.02 = 0.5
-        curve = run_ecdf(
-            _ConstantOptimizer(pts), [task], TargetSet((1.0, 1e-3)),
-            EpisodeConfig(lam=10, fe_max=50), 1, seed=0,
-        )
+        curve = run_ecdf(tasks, collect(_ConstantOptimizer(pts), tasks, targets, cfg, 1, seed=0),
+                         targets, cfg)
         assert curve.budgets == (10,)
         assert curve.fraction_solved == (0.5,)
         assert curve.final_fraction == 0.5
@@ -140,7 +173,8 @@ class TestRunEcdf:
         tasks = [make_instance(Family.SPHERE, 2, 500 + i) for i in range(50)]
         tol = 0.5
         cfg = EpisodeConfig(lam=10, fe_max=200, tolerance=tol)
-        curve = run_ecdf(RandomSearch(), tasks, TargetSet((tol,)), cfg, 4, seed=31)
+        targets = TargetSet((tol,))
+        curve = run_ecdf(tasks, collect(RandomSearch(), tasks, targets, cfg, 4, seed=31), targets, cfg)
 
         rng = np.random.default_rng(999)
         predictions = []
@@ -154,30 +188,33 @@ class TestRunEcdf:
     def test_task_permutation_invariance(self):
         tasks = [make_instance(Family.SPHERE, 2, s) for s in (1, 2, 3)]
         cfg = EpisodeConfig(lam=5, fe_max=50, tolerance=0.5)
-        a = run_ecdf(RandomSearch(), tasks, default_targets(), cfg, 2, seed=5)
-        b = run_ecdf(RandomSearch(), tasks[::-1], default_targets(), cfg, 2, seed=5)
+        targets = default_targets()
+        a = run_ecdf(tasks, collect(RandomSearch(), tasks, targets, cfg, 2, seed=5), targets, cfg)
+        b = run_ecdf(tasks[::-1], collect(RandomSearch(), tasks[::-1], targets, cfg, 2, seed=5),
+                     targets, cfg)
         assert a == b
 
     def test_worker_invariance(self):
         tasks = [make_instance(Family.SPHERE, 2, s) for s in (1, 2)]
         cfg = EpisodeConfig(lam=5, fe_max=30, tolerance=0.5)
-        a = run_ecdf(RandomSearch(), tasks, default_targets(), cfg, 2, seed=5, workers=1)
-        b = run_ecdf(RandomSearch(), tasks, default_targets(), cfg, 2, seed=5, workers=3)
-        assert a == b
+        targets = default_targets()
+        a = collect(RandomSearch(), tasks, targets, cfg, 2, seed=5, workers=1)
+        b = collect(RandomSearch(), tasks, targets, cfg, 2, seed=5, workers=3)
+        assert run_ecdf(tasks, a, targets, cfg) == run_ecdf(tasks, b, targets, cfg)
 
 
 class TestErtTable:
     def test_all_success_rows_at_lambda(self):
-        task = _origin_sphere()
+        tasks, targets, cfg = [_origin_sphere()], default_targets(), EpisodeConfig(lam=5, fe_max=50)
         opt = _ConstantOptimizer(np.zeros((5, 2)))
-        rows = ert_table(opt, [task], default_targets(), EpisodeConfig(lam=5, fe_max=50), 3, seed=0)
+        rows = ert_table(tasks, collect(opt, tasks, targets, cfg, 3, seed=0), targets, cfg)
         assert len(rows) == 26
         assert all(r.stats.expected_fe == 5.0 for r in rows)
 
     def test_row_count(self):
         tasks = [make_instance(Family.SPHERE, 2, s) for s in (1, 2, 3)]
-        ts = TargetSet((1.0, 0.1))
-        rows = ert_table(RandomSearch(), tasks, ts, EpisodeConfig(lam=5, fe_max=20), 2, seed=0)
+        ts, cfg = TargetSet((1.0, 0.1)), EpisodeConfig(lam=5, fe_max=20)
+        rows = ert_table(tasks, collect(RandomSearch(), tasks, ts, cfg, 2, seed=0), ts, cfg)
         assert len(rows) == 6
         assert [r.task_id for r in rows[:2]] == [tasks[0].task_id] * 2
 
@@ -186,7 +223,8 @@ class TestErtTable:
         tasks = [make_instance(Family.SPHERE, 2, s) for s in (7, 8, 9)]
         tol = 0.5
         cfg = EpisodeConfig(lam=6, fe_max=60, tolerance=tol)
-        rows = ert_table(RandomSearch(), tasks, TargetSet((tol,)), cfg, 4, seed=3)
+        targets = TargetSet((tol,))
+        rows = ert_table(tasks, collect(RandomSearch(), tasks, targets, cfg, 4, seed=3), targets, cfg)
         meta = meta_fitness(RandomSearch(), tasks, 4, cfg, seed=3)
         table_mean = math.fsum(r.stats.expected_fe for r in rows) / len(rows)
         assert table_mean == pytest.approx(meta, abs=1e-9)
@@ -196,8 +234,10 @@ class TestErtTable:
         tasks = [make_instance(Family.RASTRIGIN, 2, s) for s in (4, 5)]
         tol = 2.0
         cfg = EpisodeConfig(lam=5, fe_max=40, tolerance=tol)
-        curve = run_ecdf(RandomSearch(), tasks, TargetSet((tol,)), cfg, 6, seed=11)
-        rows = ert_table(RandomSearch(), tasks, TargetSet((tol,)), cfg, 6, seed=11)
+        targets = TargetSet((tol,))
+        grouped = collect(RandomSearch(), tasks, targets, cfg, 6, seed=11)
+        curve = run_ecdf(tasks, grouped, targets, cfg)
+        rows = ert_table(tasks, grouped, targets, cfg)
         mean_p = math.fsum(r.stats.p_hat for r in rows) / len(rows)
         assert abs(curve.final_fraction - mean_p) <= 1e-12
 
@@ -212,10 +252,11 @@ def _full_budget_episodes():
 
 
 def _scores(optimizer, tasks, targets, cfg):
+    grouped = collect(optimizer, tasks, targets, cfg, 2, seed=7)
     return (
         meta_fitness(optimizer, tasks, 2, cfg, seed=7).hex(),
-        run_ecdf(optimizer, tasks, targets, cfg, 2, seed=7),
-        repr(ert_table(optimizer, tasks, targets, cfg, 2, seed=7)),
+        run_ecdf(tasks, grouped, targets, cfg),
+        repr(ert_table(tasks, grouped, targets, cfg)),
     )
 
 
@@ -250,7 +291,7 @@ class TestScoringStopIsExact:
         assert stopped == full
 
     def test_each_path_passes_its_stop_gap(self):
-        """meta_fitness stops at the tolerance, the bench paths at the tighter gap."""
+        """meta_fitness stops at the tolerance, collect at the tighter gap."""
         seen = []
 
         def spy(optimizer, task, config, stop_gap=None):
@@ -262,7 +303,7 @@ class TestScoringStopIsExact:
             for tolerance in (0.01, 1.0):
                 cfg = EpisodeConfig(lam=5, fe_max=20, tolerance=tolerance)
                 _scores(RandomSearch(), tasks, TargetSet((1.0, 0.1)), cfg)
-        assert seen == [0.01] * 6 + [1.0] * 2 + [0.1] * 4
+        assert seen == [0.01] * 4 + [0.1] * 2 + [1.0] * 2
 
 
 class TestAuc:
@@ -323,20 +364,20 @@ class TestCsvWriters:
         curve = EcdfCurve((5, 10), (0.25, 1.0), 4)
         path = tmp_path / "ecdf.csv"
         write_ecdf_csv(path, [("rs", curve)])
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["optimizer", "budget", "fraction_solved", "n_pairs"]
         assert rows[1] == ["rs", "5", "0.25", "4"]
         assert rows[2] == ["rs", "10", "1.0", "4"]
 
     def test_ert_csv(self, tmp_path):
-        task = _origin_sphere()
-        rows = ert_table(
-            _ConstantOptimizer(np.zeros((5, 2))), [task], TargetSet((1e-3,)),
-            EpisodeConfig(lam=5, fe_max=20), 2, seed=0,
-        )
+        tasks, targets, cfg = [_origin_sphere()], TargetSet((1e-3,)), EpisodeConfig(lam=5, fe_max=20)
+        grouped = collect(_ConstantOptimizer(np.zeros((5, 2))), tasks, targets, cfg, 2, seed=0)
+        rows = ert_table(tasks, grouped, targets, cfg)
         path = tmp_path / "ert.csv"
         write_ert_csv(path, [("inst", rows)])
-        got = list(csv.reader(path.open()))
+        with path.open(newline="") as fh:
+            got = list(csv.reader(fh))
         assert got[0] == ["optimizer", "task_id", "target", "n_runs", "n_success",
                           "p_hat", "e_fe_succ_hat", "expected_fe"]
         assert got[1] == ["inst", "origin", "0.001", "2", "2", "1.0", "5.0", "5.0"]

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
 
+from metapop import ert
 from metapop.bench import EcdfCurve, ecdf_auc
 from metapop.cli import main
+from metapop.config import load_config
 from metapop.ga import Genome, decode, load_ga_checkpoint, load_genome, save_genome
 from metapop.policy import PolicyConfig, flatten, init_params, load_params
 
@@ -143,6 +147,23 @@ class TestEval:
             outs.append(out)
         for csv_name in ("ecdf.csv", "ert.csv"):
             assert (outs[0] / csv_name).read_bytes() == (outs[1] / csv_name).read_bytes()
+
+    def test_runs_each_task_run_episode_once(self, tmp_path):
+        """ecdf.csv and ert.csv are derived from one (task x run) episode grid."""
+        cfg = _write_config(tmp_path, runs_per_task=3)
+        genome_path, _, _ = _tiny_genome(tmp_path)
+        episodes = Counter()
+        run_episode = ert.run_episode
+
+        def counting(optimizer, task, config, stop_gap=None):
+            episodes[task.task_id, config.episode_seed] += 1
+            return run_episode(optimizer, task, config, stop_gap=stop_gap)
+
+        with mock.patch.object(ert, "run_episode", counting):
+            assert main(["eval", "--config", str(cfg), "--genome", str(genome_path)]) == 0
+        tasks = load_config(cfg).suite.build().test_tasks
+        assert sorted({task_id for task_id, _ in episodes}) == sorted(t.task_id for t in tasks)
+        assert sum(episodes.values()) == len(episodes) == len(tasks) * 3
 
     def test_corrupted_genome_exits_1_naming_offset(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)

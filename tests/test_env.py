@@ -12,7 +12,6 @@ from metapop.env import (
     EpisodeConfig,
     Observation,
     ProtocolError,
-    next_observation,
     run_episode,
 )
 from metapop.problems import (
@@ -76,24 +75,17 @@ class _CaptureOptimizer(_UniformOptimizer):
 
 class TestObservationPackaging:
     def test_initial_observation_is_empty(self):
-        obs = next_observation(None, None, 0)
+        obs = Observation(None, None, 0)
         assert obs.is_empty
         assert obs.generation == 0
 
-    def test_packaging_is_identity(self):
-        """Fields carry exactly the evaluator's outputs."""
-        pts = np.array([[0.1, 0.2], [0.3, 0.4]])
-        fit = np.array([1.0, 2.0])
-        obs = next_observation(ActionBatch(pts), fit, 3)
-        np.testing.assert_array_equal(obs.prev_points, pts)
-        np.testing.assert_array_equal(obs.prev_fitness, fit)
-        assert obs.generation == 3
-
     def test_rejects_inconsistent_emptiness(self):
         with pytest.raises(ValueError):
-            next_observation(ActionBatch(np.zeros((2, 2))), np.zeros(2), 0)
+            Observation(np.zeros((2, 2)), np.zeros(2), 0)
         with pytest.raises(ValueError):
-            next_observation(None, None, 1)
+            Observation(None, None, 1)
+        with pytest.raises(ValueError):
+            Observation(np.zeros((2, 2)), None, 1)
         with pytest.raises(ValueError):
             Observation(np.zeros((2, 2)), np.zeros(3), 1)
 

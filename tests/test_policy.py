@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from metapop.env import ActionBatch, EpisodeConfig, next_observation, run_episode
+from metapop.env import EpisodeConfig, Observation, run_episode
 from metapop.policy import (
     LearnedOptimizer,
     PolicyConfig,
@@ -139,14 +139,14 @@ class TestRankTransform:
 def _random_obs(rng, lam, d, generation=1):
     pts = rng.uniform(-1.0, 1.0, (lam, d))
     fit = rng.normal(size=lam)
-    return next_observation(ActionBatch(pts), fit, generation)
+    return Observation(pts, fit, generation)
 
 
 class TestAct:
     def test_generation0_deterministic(self):
         p = init_params(CFG, 0)
         s = init_state(CFG, 4, 3)
-        obs = next_observation(None, None, 0)
+        obs = Observation(None, None, 0)
         a1, _ = act(p, s, obs, step_seed=11)
         a2, _ = act(p, s, obs, step_seed=11)
         np.testing.assert_array_equal(a1.points, a2.points)
@@ -155,7 +155,7 @@ class TestAct:
     def test_different_step_seeds_differ(self):
         p = init_params(CFG, 0)
         s = init_state(CFG, 4, 3)
-        obs = next_observation(None, None, 0)
+        obs = Observation(None, None, 0)
         a1, _ = act(p, s, obs, step_seed=11)
         a2, _ = act(p, s, obs, step_seed=12)
         assert np.abs(a1.points - a2.points).max() > 0.0
@@ -167,7 +167,7 @@ class TestAct:
         for seed in range(100):
             p = init_params(CFG, seed)
             s = init_state(CFG, 10, 5)
-            batch, s = act(p, s, next_observation(None, None, 0), seed)
+            batch, s = act(p, s, Observation(None, None, 0), seed)
             total += batch.points.size
             assert np.abs(batch.points).max() <= 1.0
             obs = _random_obs(rng, 10, 5)
@@ -180,12 +180,12 @@ class TestAct:
         """Strictly increasing fitness maps leave the action unchanged."""
         p = init_params(CFG, 2)
         s0 = init_state(CFG, 4, 3)
-        _, s1 = act(p, s0, next_observation(None, None, 0), 0)
+        _, s1 = act(p, s0, Observation(None, None, 0), 0)
         rng = np.random.default_rng(8)
         pts = rng.uniform(-1, 1, (4, 3))
         fit = rng.normal(size=4)
-        obs_a = next_observation(ActionBatch(pts), fit, 1)
-        obs_b = next_observation(ActionBatch(pts), np.exp(fit) + 5.0, 1)
+        obs_a = Observation(pts, fit, 1)
+        obs_b = Observation(pts, np.exp(fit) + 5.0, 1)
         a, _ = act(p, s1, obs_a, 9)
         b, _ = act(p, s1, obs_b, 9)
         np.testing.assert_array_equal(a.points, b.points)
@@ -194,8 +194,8 @@ class TestAct:
         """With log-sigma at -30 the readout is effectively deterministic."""
         p = _with_log_sigma(init_params(CFG, 4), -30.0)
         s = init_state(CFG, 4, 2)
-        a, _ = act(p, s, next_observation(None, None, 0), 100)
-        b, _ = act(p, s, next_observation(None, None, 0), 200)
+        a, _ = act(p, s, Observation(None, None, 0), 100)
+        b, _ = act(p, s, Observation(None, None, 0), 200)
         np.testing.assert_allclose(a.points, b.points, atol=1e-10)
 
     def test_individual_permutation_equivariance(self):
@@ -204,18 +204,18 @@ class TestAct:
         cfg = PolicyConfig(lam=lam)
         p = _with_log_sigma(init_params(cfg, 6), -30.0)
         s0 = init_state(cfg, lam, d)
-        _, s1 = act(p, s0, next_observation(None, None, 0), 0)
+        _, s1 = act(p, s0, Observation(None, None, 0), 0)
         rng = np.random.default_rng(13)
         pts = rng.uniform(-1, 1, (lam, d))
         fit = rng.normal(size=lam)
         perm = np.array([3, 0, 4, 1, 2])
 
-        obs = next_observation(ActionBatch(pts), fit, 1)
+        obs = Observation(pts, fit, 1)
         base, _ = act(p, s1, obs, 1)
 
         slot_perm = (perm[:, None] * d + np.arange(d)).ravel()
         s1p = PolicyState(lam, d, s1.h[:, slot_perm], s1.c[:, slot_perm], s1.prev_point[perm])
-        obs_p = next_observation(ActionBatch(pts[perm]), fit[perm], 1)
+        obs_p = Observation(pts[perm], fit[perm], 1)
         permuted, _ = act(p, s1p, obs_p, 1)
         np.testing.assert_allclose(permuted.points, base.points[perm], atol=1e-12)
 
@@ -225,17 +225,17 @@ class TestAct:
         cfg = PolicyConfig(lam=lam)
         p = _with_log_sigma(init_params(cfg, 6), -30.0)
         s0 = init_state(cfg, lam, d)
-        _, s1 = act(p, s0, next_observation(None, None, 0), 0)
+        _, s1 = act(p, s0, Observation(None, None, 0), 0)
         rng = np.random.default_rng(14)
         pts = rng.uniform(-1, 1, (lam, d))
         fit = rng.normal(size=lam)
         perm = np.array([2, 0, 1])
 
-        base, _ = act(p, s1, next_observation(ActionBatch(pts), fit, 1), 1)
+        base, _ = act(p, s1, Observation(pts, fit, 1), 1)
 
         slot_perm = (np.arange(lam)[:, None] * d + perm).ravel()
         s1p = PolicyState(lam, d, s1.h[:, slot_perm], s1.c[:, slot_perm], s1.prev_point[:, perm])
-        obs_p = next_observation(ActionBatch(pts[:, perm]), fit, 1)
+        obs_p = Observation(pts[:, perm], fit, 1)
         permuted, _ = act(p, s1p, obs_p, 1)
         np.testing.assert_allclose(permuted.points, base.points[:, perm], atol=1e-12)
 
@@ -249,8 +249,8 @@ class TestAct:
         pts = rng.uniform(-1, 1, (lam, d))
         fit = rng.normal(size=lam)
 
-        _, s1 = act(p, s0, next_observation(None, None, 0), 0)
-        got, _ = act(p, s1, next_observation(ActionBatch(pts), fit, 1), 1)
+        _, s1 = act(p, s0, Observation(None, None, 0), 0)
+        got, _ = act(p, s1, Observation(pts, fit, 1), 1)
 
         ranks = oracles.naive_rank_transform(list(fit))
         for i in range(lam):
@@ -278,26 +278,26 @@ class TestAct:
     def test_hidden_state_stays_bounded(self):
         p = init_params(CFG, 1)
         s = init_state(CFG, 4, 3)
-        obs = next_observation(None, None, 0)
+        obs = Observation(None, None, 0)
         rng = np.random.default_rng(0)
         for g in range(5):
             batch, s = act(p, s, obs, g)
             assert np.abs(s.h).max() < 1.0
             np.testing.assert_array_equal(s.prev_point, batch.points)
-            obs = next_observation(batch, rng.normal(size=4), g + 1)
+            obs = Observation(batch.points, rng.normal(size=4), g + 1)
 
     def test_generation0_requires_fresh_state(self):
         p = init_params(CFG, 0)
         s = init_state(CFG, 4, 3)
-        _, s1 = act(p, s, next_observation(None, None, 0), 0)
+        _, s1 = act(p, s, Observation(None, None, 0), 0)
         with pytest.raises(ValueError):
-            act(p, s1, next_observation(None, None, 0), 1)
+            act(p, s1, Observation(None, None, 0), 1)
 
     def test_shape_mismatch_rejected(self):
         p = init_params(CFG, 0)
         s = init_state(CFG, 4, 3)
-        _, s1 = act(p, s, next_observation(None, None, 0), 0)
-        bad = next_observation(ActionBatch(np.zeros((5, 3))), np.zeros(5), 1)
+        _, s1 = act(p, s, Observation(None, None, 0), 0)
+        bad = Observation(np.zeros((5, 3)), np.zeros(5), 1)
         with pytest.raises(ValueError):
             act(p, s1, bad, 1)
 
@@ -390,7 +390,7 @@ class TestLearnedOptimizer:
         cfg = PolicyConfig(lam=4)
         opt = LearnedOptimizer(init_params(cfg, 0), cfg)
         with pytest.raises(RuntimeError):
-            opt.act(next_observation(None, None, 0))
+            opt.act(Observation(None, None, 0))
 
 
 class TestCheckpoint:

@@ -21,7 +21,6 @@ from metapop.problems import (
     linear_slope_vector,
     make_instance,
     make_suite,
-    optimum_value,
     random_orthogonal,
 )
 
@@ -147,7 +146,7 @@ class TestEvaluation:
         for seed in range(5):
             task = _fresh_task(family, 4, seed)
             assert evaluate(task, task.optimum_location()) == task.optimum_value
-            assert optimum_value(task) == task.config.value_offset
+            assert task.optimum_value == task.config.value_offset
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_matches_naive_oracle(self, family):
