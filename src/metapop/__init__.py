@@ -6,115 +6,25 @@ benchmarks the result against random search and CMA-ES using restart-based
 expected-runtime (ERT) and multi-target ECDF methodology.
 """
 
-from .baselines import CmaEs, CmaState, RandomSearch, cma_act, cma_init, cma_update, default_cma_lambda
-from .bench import (
-    ComparisonEntry,
-    ComparisonReport,
-    EcdfCurve,
-    ErtRow,
-    TargetSet,
-    collect,
-    compare,
-    default_targets,
-    ecdf_auc,
-    ert_table,
-    first_hits,
-    run_ecdf,
-    write_ecdf_csv,
-    write_ert_csv,
-)
-from .config import (
-    FORMAT_VERSION,
-    ConfigError,
-    RunConfig,
-    SuiteSpec,
-    canonical_mapping,
-    config_hash,
-    load_config,
-)
-from .env import (
-    ActionBatch,
-    EpisodeConfig,
-    Observation,
-    Optimizer,
-    ProtocolError,
-    RolloutRecord,
-    run_episode,
-)
-from .ert import ErtStats, collect_records, estimate, expected_fe, expected_restarts, meta_fitness
-from .ga import (
-    GaConfig,
-    Genome,
-    HistoryRow,
-    TrainHistory,
-    decode,
-    evolve_step,
-    load_ga_checkpoint,
-    load_genome,
-    save_genome,
-    sigma_schedule,
-    train,
-    write_ga_checkpoint,
-    write_history_csv,
-)
-from .policy import (
-    LearnedOptimizer,
-    PolicyConfig,
-    PolicyParams,
-    flatten,
-    init_params,
-    init_state,
-    load_params,
-    param_count,
-    rank_transform,
-    save_params,
-    unflatten,
-)
-from .problems import (
-    DomainError,
-    Family,
-    InstanceConfig,
-    Split,
-    Task,
-    TaskSuite,
-    evaluate,
-    evaluate_batch,
-    make_instance,
-    make_suite,
-    random_orthogonal,
-)
-from .seeding import derive_seed, parallel_map, rng_from, stable_key
+from . import problems, env, policy, ert, baselines, ga, bench, config, seeding
+from .problems import *  # noqa: F403
+from .env import *  # noqa: F403
+from .policy import *  # noqa: F403
+from .ert import *  # noqa: F403
+from .baselines import *  # noqa: F403
+from .ga import *  # noqa: F403
+from .bench import *  # noqa: F403
+from .config import *  # noqa: F403
+from .seeding import *  # noqa: F403
 
 __all__ = [
-    "FORMAT_VERSION",
-    # problems
-    "DomainError", "Family", "InstanceConfig", "Split", "Task", "TaskSuite",
-    "evaluate", "evaluate_batch", "make_instance", "make_suite",
-    "random_orthogonal",
-    # episodes
-    "ActionBatch", "EpisodeConfig", "Observation", "Optimizer",
-    "ProtocolError", "RolloutRecord", "run_episode",
-    # policy
-    "LearnedOptimizer", "PolicyConfig", "PolicyParams", "flatten",
-    "init_params", "init_state", "load_params", "param_count",
-    "rank_transform", "save_params", "unflatten",
-    # meta objective
-    "ErtStats", "collect_records", "estimate", "expected_fe",
-    "expected_restarts", "meta_fitness",
-    # baselines
-    "CmaEs", "CmaState", "RandomSearch", "cma_act", "cma_init",
-    "cma_update", "default_cma_lambda",
-    # outer loop
-    "GaConfig", "Genome", "HistoryRow", "TrainHistory", "decode",
-    "evolve_step", "load_ga_checkpoint", "load_genome", "save_genome",
-    "sigma_schedule", "train", "write_ga_checkpoint", "write_history_csv",
-    # benchmarking
-    "ComparisonEntry", "ComparisonReport", "EcdfCurve", "ErtRow",
-    "TargetSet", "collect", "compare", "default_targets", "ecdf_auc", "ert_table",
-    "first_hits", "run_ecdf", "write_ecdf_csv", "write_ert_csv",
-    # configuration
-    "ConfigError", "RunConfig", "SuiteSpec", "canonical_mapping",
-    "config_hash", "load_config",
-    # seeding
-    "derive_seed", "parallel_map", "rng_from", "stable_key",
+    *problems.__all__,
+    *env.__all__,
+    *policy.__all__,
+    *ert.__all__,
+    *baselines.__all__,
+    *ga.__all__,
+    *bench.__all__,
+    *config.__all__,
+    *seeding.__all__,
 ]

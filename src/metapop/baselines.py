@@ -24,7 +24,6 @@ from .seeding import derive_seed, rng_from
 
 __all__ = [
     "default_cma_lambda",
-    "random_search_act",
     "RandomSearch",
     "CmaState",
     "cma_init",

@@ -153,9 +153,11 @@ def collect(
 ) -> list[list[RolloutRecord]]:
     """Run the (task x run) episode grid once; records grouped per task.
 
-    Each episode stops at the tightest gap that any derivation reads: the
-    final target, or the episode tolerance if that is tighter (it decides
-    each record's ``success``). No first hit can change after it.
+    The one place that decides where a scored episode stops: at the tightest
+    gap that any derivation reads, the final target or the episode tolerance
+    if that is tighter (it decides each record's ``success``). No first hit
+    can change after it. :func:`run_ecdf`, :func:`ert_table` and the GA's
+    :func:`metapop.ert.meta_fitness` all derive from these records.
     """
     return collect_records(optimizer, tasks, runs_per_task, episode_config, seed, workers,
                            stop_gap=min(targets.tolerance, episode_config.tolerance))

@@ -24,6 +24,16 @@ from .problems import Split, TaskSuite
 BASELINE_NAMES = ("cma-es", "rs")
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="metapop",
@@ -49,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="run the outer training loop")
     add_common(p_train)
     p_train.add_argument("--generations", type=int, help="override ga.generations")
-    p_train.add_argument("--checkpoint-every", type=int, default=10, metavar="N",
+    p_train.add_argument("--checkpoint-every", type=_positive_int, default=10, metavar="N",
                          help="checkpoint cadence in generations (default: 10)")
 
     p_eval = sub.add_parser("eval", help="benchmark a trained policy on one split")
@@ -75,15 +85,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _non_negative(value: int, source: str) -> int:
+    if value < 0:
+        raise ConfigError(f"{source}: must be non-negative, got {value}")
+    return value
+
+
 def _resolve_workers(flag_value: int | None, config: RunConfig) -> int:
     if flag_value is not None:
-        return flag_value
+        return _non_negative(flag_value, "--workers")
     env = os.environ.get("METAPOP_WORKERS")
     if env is not None:
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise ConfigError(f"METAPOP_WORKERS: expected an integer, got {env!r}") from None
+        return _non_negative(value, "METAPOP_WORKERS")
     if config.workers is not None:
         return config.workers
     return os.cpu_count() or 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import yaml
@@ -19,6 +19,16 @@ from .env import EpisodeConfig
 from .ga import GaConfig
 from .policy import FORMAT_VERSION, PolicyConfig
 from .problems import Family, TaskSuite, make_suite
+
+__all__ = [
+    "FORMAT_VERSION",
+    "ConfigError",
+    "RunConfig",
+    "SuiteSpec",
+    "canonical_mapping",
+    "config_hash",
+    "load_config",
+]
 
 _TOP_KEYS = {
     "suite", "policy", "ga", "episode",
@@ -182,27 +192,17 @@ def _parse_policy(section: dict) -> PolicyConfig:
 
 
 def _parse_ga(section: dict) -> GaConfig:
-    known = {
-        "population_size", "n_elites", "n_parents",
-        "sigma0", "sigma_decay", "sigma_min", "generations",
-    }
-    _reject_unknown(section, known, "ga")
-    defaults = GaConfig()
+    defaults = asdict(GaConfig())
+    _reject_unknown(section, set(defaults), "ga")
+    values = {}
+    for name, default in defaults.items():
+        raw, path = section.get(name, default), f"ga.{name}"
+        if isinstance(default, float):
+            values[name] = _as_float(raw, path)
+        else:
+            values[name] = _as_int(raw, path, minimum=0 if name == "generations" else 1)
     try:
-        return GaConfig(
-            population_size=_as_int(
-                section.get("population_size", defaults.population_size),
-                "ga.population_size", minimum=1,
-            ),
-            n_elites=_as_int(section.get("n_elites", defaults.n_elites), "ga.n_elites", 1),
-            n_parents=_as_int(section.get("n_parents", defaults.n_parents), "ga.n_parents", 1),
-            sigma0=_as_float(section.get("sigma0", defaults.sigma0), "ga.sigma0"),
-            sigma_decay=_as_float(section.get("sigma_decay", defaults.sigma_decay), "ga.sigma_decay"),
-            sigma_min=_as_float(section.get("sigma_min", defaults.sigma_min), "ga.sigma_min"),
-            generations=_as_int(section.get("generations", defaults.generations), "ga.generations", 0),
-        )
-    except ConfigError:
-        raise
+        return GaConfig(**values)
     except ValueError as exc:
         raise ConfigError(f"ga: {exc}") from None
 
@@ -298,15 +298,7 @@ def canonical_mapping(config: RunConfig) -> dict:
             "hidden_size": config.policy.hidden_size,
             "num_layers": config.policy.num_layers,
         },
-        "ga": {
-            "population_size": config.ga.population_size,
-            "n_elites": config.ga.n_elites,
-            "n_parents": config.ga.n_parents,
-            "sigma0": config.ga.sigma0,
-            "sigma_decay": config.ga.sigma_decay,
-            "sigma_min": config.ga.sigma_min,
-            "generations": config.ga.generations,
-        },
+        "ga": asdict(config.ga),
         "episode": {"fe_max": config.fe_max, "tolerance": config.tolerance},
         "runs_per_task": config.runs_per_task,
         "master_seed": config.master_seed,

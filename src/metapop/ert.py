@@ -10,7 +10,8 @@ function evaluations: the number of failed runs before the first success is
 geometric with mean (1 - p_s) / p_s, each failure burns the full budget, and
 the final successful run costs its first-hit evaluation count. Both factors
 are estimated from a batch of episode records. The meta-objective is the mean
-of this quantity over a batch of tasks (lower is better).
+of this quantity over a batch of tasks (lower is better), derived from
+records grouped per task; :func:`metapop.bench.collect` runs the episodes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "estimate",
     "meta_fitness",
     "collect_records",
-    "episode_seed_for",
 ]
 
 
@@ -129,7 +129,7 @@ def episode_seed_for(seed: int, task: Task, run: int) -> int:
 
 
 def _episode_job(
-    item: tuple[Task, int], optimizer: Optimizer, config: EpisodeConfig, stop_gap: float | None
+    item: tuple[Task, int], optimizer: Optimizer, config: EpisodeConfig, stop_gap: float
 ) -> RolloutRecord:
     task, ep_seed = item
     return run_episode(optimizer, task, replace(config, episode_seed=ep_seed), stop_gap=stop_gap)
@@ -142,7 +142,8 @@ def collect_records(
     episode_config: EpisodeConfig,
     seed: int,
     workers: int = 0,
-    stop_gap: float | None = None,
+    *,
+    stop_gap: float,
 ) -> list[list[RolloutRecord]]:
     """Run the full (task x run) episode grid; records grouped per task.
 
@@ -167,25 +168,23 @@ def collect_records(
 
 
 def meta_fitness(
-    optimizer: Optimizer,
     tasks: Sequence[Task],
-    runs_per_task: int,
+    grouped: Sequence[Sequence[RolloutRecord]],
     episode_config: EpisodeConfig,
-    seed: int,
-    workers: int = 0,
 ) -> float:
     """Mean expected-FE over tasks; the outer loop minimizes this.
 
-    Episodes stop at the success tolerance: a success needs only its first
-    hit, and the zero-success fallback only sees tasks where no episode
-    succeeded, which therefore ran their full budgets.
+    ``grouped`` holds each task's records, as :func:`metapop.bench.collect`
+    returns them for the single target ``episode_config.tolerance``: a
+    success needs only its first hit, and the zero-success fallback only sees
+    tasks where no episode succeeded, which therefore ran their full budgets.
     """
-    grouped = collect_records(optimizer, tasks, runs_per_task, episode_config, seed, workers,
-                              stop_gap=episode_config.tolerance)
-    per_task = []
-    for task, records in zip(tasks, grouped):
-        fe_max = episode_config.resolve_fe_max(task.dimension)
-        per_task.append(estimate(records, fe_max).expected_fe)
+    if not tasks:
+        raise ValueError("tasks must be non-empty")
+    per_task = [
+        estimate(records, episode_config.resolve_fe_max(task.dimension)).expected_fe
+        for task, records in zip(tasks, grouped, strict=True)
+    ]
     # fsum is exactly associative-free, keeping the mean identical under any
     # permutation of the task list
     return math.fsum(per_task) / len(per_task)

@@ -13,9 +13,11 @@ bit-identical. Selection is truncation to the best ``n_parents`` with
 with a floor.
 
 Fitness is the meta-objective (mean expected-FE over the training tasks,
-lower is better). Within one generation every genome is scored with the same
-episode-seed block (common random numbers), which sharpens the ranking;
-each generation draws a fresh block so elites cannot lock in lucky seeds.
+lower is better), derived from the records that :func:`metapop.bench.collect`
+returns for the single target of the episode tolerance. Within one
+generation every genome is scored with the same episode-seed block (common
+random numbers), which sharpens the ranking; each generation draws a fresh
+block so elites cannot lock in lucky seeds.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .bench import TargetSet, collect
 from .env import EpisodeConfig
 from .ert import meta_fitness
 from .policy import FORMAT_VERSION, LearnedOptimizer, PolicyConfig, PolicyParams, flatten, init_params, param_count, unflatten
@@ -46,8 +49,6 @@ __all__ = [
     "sigma_schedule",
     "evolve_step",
     "train",
-    "genome_to_json",
-    "genome_from_json",
     "save_genome",
     "load_genome",
     "write_history_csv",
@@ -193,7 +194,9 @@ def _genome_fitness(
     ancestors: Ancestors | None = None,
 ) -> float:
     optimizer = LearnedOptimizer(decode(genome, policy_config, ancestors), policy_config)
-    return meta_fitness(optimizer, tasks, runs_per_task, episode_config, seed)
+    targets = TargetSet((episode_config.tolerance,))
+    grouped = collect(optimizer, tasks, targets, episode_config, runs_per_task, seed)
+    return meta_fitness(tasks, grouped, episode_config)
 
 
 ProgressFn = Callable[[int, float, float, float, float], None]
@@ -228,6 +231,8 @@ def train(
     train_tasks = suite.train_tasks
     if not train_tasks:
         raise ValueError("suite has no training tasks")
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     val_tasks = suite.validation_tasks
 
     population = [

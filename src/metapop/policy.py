@@ -37,13 +37,10 @@ from .seeding import derive_seed, rng_from
 __all__ = [
     "PolicyConfig",
     "PolicyParams",
-    "PolicyState",
-    "LayerParams",
     "param_count",
     "init_params",
     "init_state",
     "rank_transform",
-    "act",
     "flatten",
     "unflatten",
     "LearnedOptimizer",

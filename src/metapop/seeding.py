@@ -14,6 +14,8 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
+__all__ = ["derive_seed", "stable_key", "rng_from", "parallel_map"]
+
 T = TypeVar("T")
 R = TypeVar("R")
 

@@ -122,8 +122,30 @@ class TestTrain:
         monkeypatch.setenv("METAPOP_WORKERS", "not-a-number")
         assert main(["train", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("every", ["0", "-1"])
+    def test_checkpoint_every_below_one_exits_2_before_training(self, tmp_path, capsys, every):
+        cfg = _write_config(tmp_path)
+        assert main(["train", "--config", str(cfg), "--checkpoint-every", every]) == 2
+        assert f"--checkpoint-every: must be >= 1, got {every}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestEval:
+    @pytest.mark.parametrize("flag, env, source", [
+        (["--workers", "-3"], None, "--workers"),
+        ([], "-3", "METAPOP_WORKERS"),
+    ])
+    def test_negative_worker_count_exits_2_naming_source(self, tmp_path, monkeypatch, capsys, flag, env, source):
+        cfg = _write_config(tmp_path, workers=None)
+        genome_path, _, _ = _tiny_genome(tmp_path)
+        if env is None:
+            monkeypatch.delenv("METAPOP_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("METAPOP_WORKERS", env)
+        assert main(["eval", "--config", str(cfg), "--genome", str(genome_path), *flag]) == 2
+        assert f"{source}: must be non-negative, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_split_task_sets_are_disjoint(self, tmp_path):
         cfg = _write_config(tmp_path)
         genome_path, _, _ = _tiny_genome(tmp_path)

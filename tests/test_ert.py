@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from metapop.bench import TargetSet, collect
 from metapop.env import ActionBatch, EpisodeConfig, run_episode
 from metapop.ert import (
     ErtStats,
@@ -184,18 +185,39 @@ def _origin_spheres(count: int) -> list[Task]:
     return tasks
 
 
+def _fitness(optimizer, tasks, runs_per_task, cfg, seed, workers=0):
+    """The GA's scoring path: collect at the tolerance, then derive."""
+    grouped = collect(optimizer, tasks, TargetSet((cfg.tolerance,)), cfg, runs_per_task, seed, workers)
+    return meta_fitness(tasks, grouped, cfg)
+
+
 class TestMetaFitness:
     def test_immediate_optimum_scores_lambda(self):
         """An optimizer that opens on the optimum scores exactly lambda."""
         tasks = _origin_spheres(3)
         cfg = EpisodeConfig(lam=4, fe_max=20)
-        assert meta_fitness(_ZeroOptimizer(), tasks, 3, cfg, seed=0) == 4.0
+        assert _fitness(_ZeroOptimizer(), tasks, 3, cfg, seed=0) == 4.0
+
+    def test_hand_built_records(self):
+        """One task with a success, one scored by the zero-success fallback."""
+        tasks = _origin_spheres(2)
+        cfg = EpisodeConfig(lam=10, fe_max=200)
+        grouped = [
+            [_rec(False, None, 0.7), _rec(True, 70, 1e-4), _rec(False, None, 2.0)],
+            [_rec(False, None, 3.0), _rec(False, None, 7.0), _rec(False, None, 20.0)],
+        ]
+        # (2 * 200 + 70 + 5 * 200 + 200 + 200 * (0.3 + 0.7 + 1.0) / 3) / 2
+        assert meta_fitness(tasks, grouped, cfg).hex() == "0x1.c2d5555555556p+9"
+        with pytest.raises(ValueError):
+            meta_fitness(tasks, grouped[:1], cfg)
+        with pytest.raises(ValueError):
+            meta_fitness(tasks[:1], grouped, cfg)
 
     def test_matches_independent_recomputation(self):
         """Aggregate equals a plain-python recomputation from raw records."""
         suite_tasks = [make_instance(Family.SPHERE, 2, s) for s in (1, 2, 3)]
         cfg = EpisodeConfig(lam=5, fe_max=40, tolerance=0.5)
-        got = meta_fitness(_UniformOptimizer(), suite_tasks, 6, cfg, seed=9)
+        got = _fitness(_UniformOptimizer(), suite_tasks, 6, cfg, seed=9)
 
         per_task = []
         for task in suite_tasks:
@@ -223,25 +245,25 @@ class TestMetaFitness:
     def test_task_permutation_invariance(self):
         tasks = [make_instance(Family.RASTRIGIN, 2, s) for s in (4, 5, 6, 7)]
         cfg = EpisodeConfig(lam=4, fe_max=24, tolerance=0.5)
-        forward = meta_fitness(_UniformOptimizer(), tasks, 3, cfg, seed=2)
-        backward = meta_fitness(_UniformOptimizer(), tasks[::-1], 3, cfg, seed=2)
+        forward = _fitness(_UniformOptimizer(), tasks, 3, cfg, seed=2)
+        backward = _fitness(_UniformOptimizer(), tasks[::-1], 3, cfg, seed=2)
         assert forward == backward
 
     def test_worker_count_does_not_change_result(self):
         tasks = [make_instance(Family.SPHERE, 2, s) for s in (11, 12)]
         cfg = EpisodeConfig(lam=4, fe_max=20, tolerance=0.5)
-        serial = meta_fitness(_UniformOptimizer(), tasks, 4, cfg, seed=3)
-        parallel = meta_fitness(_UniformOptimizer(), tasks, 4, cfg, seed=3, workers=2)
+        serial = _fitness(_UniformOptimizer(), tasks, 4, cfg, seed=3, workers=1)
+        parallel = _fitness(_UniformOptimizer(), tasks, 4, cfg, seed=3, workers=2)
         assert serial == parallel
 
     def test_collect_records_grouping(self):
         tasks = _origin_spheres(2)
         cfg = EpisodeConfig(lam=3, fe_max=9)
-        grouped = collect_records(_ZeroOptimizer(), tasks, 5, cfg, seed=1)
+        grouped = collect_records(_ZeroOptimizer(), tasks, 5, cfg, seed=1, stop_gap=cfg.tolerance)
         assert len(grouped) == 2 and all(len(g) == 5 for g in grouped)
         seeds = {r.episode_seed for g in grouped for r in g}
         assert len(seeds) == 10
 
     def test_rejects_empty_tasks(self):
         with pytest.raises(ValueError):
-            meta_fitness(_ZeroOptimizer(), [], 3, EpisodeConfig(lam=2), seed=0)
+            meta_fitness([], [], EpisodeConfig(lam=2))

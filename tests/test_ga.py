@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from metapop import ert, ga
 from metapop.config import FORMAT_VERSION
-from metapop.env import EpisodeConfig
+from metapop.env import EpisodeConfig, run_episode
 from metapop.ga import (
     GaConfig,
     Genome,
@@ -248,6 +250,35 @@ class TestTrain:
         suite = make_suite([Family.SPHERE], 2, 3, (0.0, 0.0, 1.0), master_seed=0)
         with pytest.raises(ValueError):
             train(SMALL_GA, PC, suite, EpisodeConfig(lam=4, fe_max=40), 2, 0)
+
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_rejects_checkpoint_every_below_one_before_scoring(self, every, tmp_path, monkeypatch):
+        scored = []
+        monkeypatch.setattr(ga, "_genome_fitness", lambda *args, **kwargs: scored.append(args) or 0.0)
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            train(SMALL_GA, PC, _suite(), EpisodeConfig(lam=4, fe_max=40), 1, 0,
+                  checkpoint_dir=tmp_path, checkpoint_every=every)
+        assert scored == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_scoring_round_stops_every_episode_at_the_tolerance(self):
+        """Training and validation episodes all get the tolerance as stop gap."""
+        seen = []
+
+        def spy(optimizer, task, config, stop_gap=None):
+            seen.append(stop_gap)
+            return run_episode(optimizer, task, config, stop_gap=stop_gap)
+
+        suite = _suite()
+        with mock.patch.object(ert, "run_episode", spy):
+            train(
+                GaConfig(population_size=3, n_elites=1, n_parents=2, generations=0),
+                PC, suite, EpisodeConfig(lam=4, fe_max=40, tolerance=0.05),
+                runs_per_task=2, master_seed=1,
+            )
+        n_episodes = (3 * len(suite.train_tasks) + len(suite.validation_tasks)) * 2
+        assert len(suite.validation_tasks) > 0
+        assert seen == [0.05] * n_episodes
 
     def test_history_has_generations_plus_one_rows(self):
         _, history = train(
