@@ -14,13 +14,13 @@ generation g costs min((g + 1) * lam, fe_max) evaluations.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .artifacts import write_csv
 from .env import EpisodeConfig, Optimizer, RolloutRecord
 from .ert import ErtStats, collect_records, estimate
 from .problems import Task, TaskSuite
@@ -284,32 +284,15 @@ def compare(
 
 
 def write_ecdf_csv(path: str | Path, curves: Sequence[tuple[str, EcdfCurve]]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["optimizer", "budget", "fraction_solved", "n_pairs"])
-        for name, curve in curves:
-            for b, f in zip(curve.budgets, curve.fraction_solved):
-                writer.writerow([name, b, repr(f), curve.n_pairs])
+    rows = ([name, b, repr(f), curve.n_pairs] for name, curve in curves for b, f in zip(curve.budgets, curve.fraction_solved))
+    write_csv(path, ["optimizer", "budget", "fraction_solved", "n_pairs"], rows)
 
 
 def write_ert_csv(path: str | Path, tables: Sequence[tuple[str, Sequence[ErtRow]]]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["optimizer", "task_id", "target", "n_runs", "n_success", "p_hat", "e_fe_succ_hat", "expected_fe"]
-        )
-        for name, rows in tables:
-            for row in rows:
-                s = row.stats
-                writer.writerow(
-                    [
-                        name,
-                        row.task_id,
-                        repr(row.target),
-                        s.n_runs,
-                        s.n_success,
-                        repr(s.p_hat),
-                        "" if s.e_fe_succ_hat is None else repr(s.e_fe_succ_hat),
-                        repr(s.expected_fe),
-                    ]
-                )
+    def cells(name: str, row: ErtRow) -> list:
+        s = row.stats
+        e_fe_succ = "" if s.e_fe_succ_hat is None else repr(s.e_fe_succ_hat)
+        return [name, row.task_id, repr(row.target), s.n_runs, s.n_success, repr(s.p_hat), e_fe_succ, repr(s.expected_fe)]
+
+    header = ["optimizer", "task_id", "target", "n_runs", "n_success", "p_hat", "e_fe_succ_hat", "expected_fe"]
+    write_csv(path, header, (cells(name, row) for name, rows in tables for row in rows))

@@ -8,15 +8,14 @@ never changes numerical outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from json import JSONDecodeError
 from pathlib import Path
 
+from .artifacts import save_json
 from .baselines import CmaEs, RandomSearch
 from .bench import collect, compare, ecdf_auc, ert_table, run_ecdf, write_ecdf_csv, write_ert_csv
-from .config import FORMAT_VERSION, ConfigError, RunConfig, config_hash, load_config
+from .config import ConfigError, RunConfig, config_hash, load_config
 from .ga import decode, load_genome, save_genome, train, write_history_csv
 from .policy import LearnedOptimizer, load_params, save_params
 from .problems import Split, TaskSuite
@@ -119,26 +118,15 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
 
 def _load_artifact(genome_path: str | None, params_path: str | None):
     """Load a policy from either a genome or a raw-parameter file."""
-    try:
-        if genome_path is not None:
-            genome, policy_config = load_genome(genome_path)
-            return policy_config, decode(genome, policy_config)
-        policy_config, params = load_params(params_path)
-        return policy_config, params
-    except JSONDecodeError as exc:
-        raise RuntimeError(f"failed to parse {genome_path or params_path}: {exc}") from None
+    if genome_path is not None:
+        genome, policy_config = load_genome(genome_path)
+        return policy_config, decode(genome, policy_config)
+    return load_params(params_path)
 
 
 def _write_metadata(out_dir: Path, command: str, config: RunConfig, **extra) -> None:
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "command": command,
-        "config_hash": config_hash(config),
-        "master_seed": config.master_seed,
-        **extra,
-    }
-    path = out_dir / "metadata.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    payload = {"command": command, "config_hash": config_hash(config), "master_seed": config.master_seed, **extra}
+    save_json(out_dir / "metadata.json", payload, pretty=True)
 
 
 def _split_tasks(config: RunConfig, split_name: str):
@@ -154,7 +142,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
     workers = _resolve_workers(args.workers, config)
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     suite = config.suite.build()
 
     def progress(generation, train_best, val_best, sigma, elapsed):
@@ -178,14 +165,21 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _benchmark_setup(args: argparse.Namespace, config: RunConfig, params_path: str | None = None):
+    """Load the artifact and the split's tasks; the budget must fit its lambda."""
+    policy_config, params = _load_artifact(args.genome, params_path)
+    budget = config.episode_config().resolve_fe_max(config.suite.dimension)
+    if budget < policy_config.lam:
+        raise ConfigError(f"episode.fe_max: budget {budget} is below the artifact's lambda {policy_config.lam}")
+    episode = config.episode_config(lam=policy_config.lam)
+    return LearnedOptimizer(params, policy_config), _split_tasks(config, args.split), episode
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
     workers = _resolve_workers(args.workers, config)
-    policy_config, params = _load_artifact(args.genome, args.params)
-    tasks = _split_tasks(config, args.split)
-    episode = config.episode_config(lam=policy_config.lam)
+    optimizer, tasks, episode = _benchmark_setup(args, config, args.params)
     targets = config.targets()
-    optimizer = LearnedOptimizer(params, policy_config)
 
     grouped = collect(optimizer, tasks, targets, episode, config.runs_per_task,
                       config.master_seed, workers=workers)
@@ -193,7 +187,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     rows = ert_table(tasks, grouped, targets, episode)
 
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_ecdf_csv(out_dir / "ecdf.csv", [("learned", curve)])
     write_ert_csv(out_dir / "ert.csv", [("learned", rows)])
     _write_metadata(out_dir, "eval", config, split=args.split,
@@ -219,12 +212,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
     workers = _resolve_workers(args.workers, config)
     baselines = _parse_baselines(args.baselines)
-    policy_config, params = _load_artifact(args.genome, None)
-    tasks = _split_tasks(config, args.split)
-    episode = config.episode_config(lam=policy_config.lam)
+    optimizer, tasks, episode = _benchmark_setup(args, config)
     targets = config.targets()
 
-    optimizers = [("learned", LearnedOptimizer(params, policy_config))]
+    optimizers = [("learned", optimizer)]
     for name in baselines:
         optimizers.append((name, RandomSearch() if name == "rs" else CmaEs()))
 
@@ -234,7 +225,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
                      config.runs_per_task, config.master_seed, workers=workers)
 
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_ecdf_csv(out_dir / "ecdf.csv", [(e.name, e.curve) for e in report.entries])
     _write_metadata(out_dir, "compare", config, split=args.split,
                     baselines=baselines, artifact=str(args.genome))

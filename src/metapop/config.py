@@ -14,10 +14,11 @@ from pathlib import Path
 
 import yaml
 
+from .artifacts import FORMAT_VERSION
 from .bench import TargetSet, default_targets
 from .env import EpisodeConfig
 from .ga import GaConfig
-from .policy import FORMAT_VERSION, PolicyConfig
+from .policy import PolicyConfig
 from .problems import Family, TaskSuite, make_suite
 
 __all__ = [

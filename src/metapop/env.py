@@ -17,13 +17,13 @@ afterwards.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from .artifacts import write_csv
 from .problems import Task, evaluate_batch
 
 __all__ = [
@@ -222,8 +222,4 @@ def run_episode(
 
 def _write_trace(path: Path, rows: list[list], dimension: int) -> None:
     header = ["generation", "point_index"] + [f"x_{j}" for j in range(dimension)] + ["fitness"]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[0], row[1]] + [repr(float(v)) for v in row[2:]])
+    write_csv(path, header, ([row[0], row[1]] + [repr(float(v)) for v in row[2:]] for row in rows))

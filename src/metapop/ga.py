@@ -22,8 +22,6 @@ block so elites cannot lock in lucky seeds.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -33,10 +31,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import load_json, save_json, write_csv
 from .bench import TargetSet, collect
 from .env import EpisodeConfig
 from .ert import meta_fitness
-from .policy import FORMAT_VERSION, LearnedOptimizer, PolicyConfig, PolicyParams, flatten, init_params, param_count, unflatten
+from .policy import LearnedOptimizer, PolicyConfig, PolicyParams, flatten, init_params, param_count, unflatten
 from .problems import TaskSuite
 from .seeding import derive_seed, parallel_map, rng_from
 
@@ -316,18 +315,11 @@ def genome_from_json(data: dict) -> Genome:
 
 
 def save_genome(path: str | Path, genome: Genome, policy_config: PolicyConfig) -> None:
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "policy_config": policy_config.to_json(),
-        "genome": genome_to_json(genome),
-    }
-    Path(path).write_text(json.dumps(payload))
+    save_json(path, {"policy_config": policy_config.to_json(), "genome": genome_to_json(genome)})
 
 
 def load_genome(path: str | Path) -> tuple[Genome, PolicyConfig]:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported genome file version {payload.get('format_version')}")
+    payload = load_json(path, "genome")
     return genome_from_json(payload["genome"]), PolicyConfig.from_json(payload["policy_config"])
 
 
@@ -339,10 +331,7 @@ def write_ga_checkpoint(
     population: Sequence[Genome],
     history: TrainHistory,
 ) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "format_version": FORMAT_VERSION,
+    save_json(path, {
         "ga_config": asdict(ga_config),
         "policy_config": policy_config.to_json(),
         "generation": generation,
@@ -350,14 +339,11 @@ def write_ga_checkpoint(
         "history": [
             [r.generation, r.train_best, r.train_mean, r.val_best, r.sigma] for r in history.rows
         ],
-    }
-    Path(path).write_text(json.dumps(payload))
+    })
 
 
 def load_ga_checkpoint(path: str | Path) -> dict:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('format_version')}")
+    payload = load_json(path, "checkpoint")
     return {
         "ga_config": GaConfig(**payload["ga_config"]),
         "policy_config": PolicyConfig.from_json(payload["policy_config"]),
@@ -370,10 +356,5 @@ def load_ga_checkpoint(path: str | Path) -> dict:
 
 
 def write_history_csv(path: str | Path, history: TrainHistory) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["generation", "train_best", "train_mean", "val_best", "sigma"])
-        for r in history.rows:
-            writer.writerow(
-                [r.generation, repr(r.train_best), repr(r.train_mean), repr(r.val_best), repr(r.sigma)]
-            )
+    rows = ([r.generation, repr(r.train_best), repr(r.train_mean), repr(r.val_best), repr(r.sigma)] for r in history.rows)
+    write_csv(path, ["generation", "train_best", "train_mean", "val_best", "sigma"], rows)

@@ -25,12 +25,12 @@ are packed [input, forget, candidate, output], ``hidden_size`` rows each.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import load_json, save_json
 from .env import ActionBatch, Observation, Optimizer
 from .seeding import derive_seed, rng_from
 
@@ -47,11 +47,6 @@ __all__ = [
     "save_params",
     "load_params",
 ]
-
-#: Version written into and required from every JSON artifact: run configs,
-#: genome, parameter and checkpoint files all embed this module's formats.
-FORMAT_VERSION = 1
-
 
 @dataclass(frozen=True)
 class PolicyConfig:
@@ -303,18 +298,10 @@ _OPTIMIZER_CHECK: type[Optimizer] = LearnedOptimizer  # interface conformance
 
 def save_params(path: str | Path, config: PolicyConfig, params: PolicyParams) -> None:
     """Write a policy checkpoint as JSON (exact float round-trip)."""
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "policy_config": config.to_json(),
-        "flat_params": [float(v) for v in flatten(params)],
-    }
-    Path(path).write_text(json.dumps(payload))
+    save_json(path, {"policy_config": config.to_json(), "flat_params": [float(v) for v in flatten(params)]})
 
 
 def load_params(path: str | Path) -> tuple[PolicyConfig, PolicyParams]:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('format_version')}")
+    payload = load_json(path, "parameter")
     config = PolicyConfig.from_json(payload["policy_config"])
-    params = unflatten(config, np.asarray(payload["flat_params"], dtype=float))
-    return config, params
+    return config, unflatten(config, np.asarray(payload["flat_params"], dtype=float))

@@ -314,3 +314,13 @@ class TestUsage:
         cfg = _write_config(tmp_path)
         assert main(["eval", "--config", str(cfg)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_artifact_lambda_above_budget_exits_2_before_any_output(self, tmp_path, capsys, command):
+        cfg = _write_config(tmp_path, episode={"fe_max": 20})
+        genome_path = tmp_path / "wide.json"
+        save_genome(genome_path, Genome(42), PolicyConfig(lam=30, hidden_size=8, num_layers=1))
+        out = tmp_path / "never"
+        assert main([command, "--config", str(cfg), "--genome", str(genome_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: episode.fe_max: budget 20 is below the artifact's lambda 30\n"
+        assert not out.exists()

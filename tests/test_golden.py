@@ -20,6 +20,9 @@ import pytest
 import yaml
 
 from metapop.cli import main
+from metapop.config import load_config
+from metapop.env import EpisodeConfig, run_episode
+from metapop.policy import LearnedOptimizer, load_params
 
 #: (artifact path relative to the run directory) -> sha256, per dimension.
 GOLDEN = {
@@ -182,5 +185,56 @@ def run_slope_pipeline(tmp_path) -> dict[str, str]:
 def test_slope_pipeline_with_mid_budget_successes_matches_pinned_hashes(tmp_path):
     got = run_slope_pipeline(tmp_path)
     assert got == SLOPE_GOLDEN, (
+        f"got {got}\npinned on one BLAS build; this one is {_fingerprint()}"
+    )
+
+
+#: Files of one tiny train -> decode run that the pipelines above do not hash.
+ARTIFACT_GOLDEN = {
+    "train/metadata.json": "2c8152b36604fb511b85a465f8467ce50b601e69a03f96802269e373f41c4ad3",
+    "train/checkpoints/checkpoint_0000.json": "5573cc656da238447b44eec557e12d27ecabc58cef073140b0044083f2b826ce",
+    "train/checkpoints/checkpoint_0002.json": "404faaa2927c028dbbf1fe47436a0d17e2b4aa458bbf7b9f2daaebf0bce68916",
+    "params.json": "f4841730ab76d729fc818fa39eaf8b8ba28455ea3538099ec0b9886db167b5ff",
+    "trace.csv": "dfb31324f0d458f12c71e41f6215bbd7e84ed2abebc3df764612f72b645c3293",
+}
+
+
+def run_artifact_pipeline(tmp_path) -> dict[str, str]:
+    """CLI train and decode of a one-layer policy, then one traced episode.
+
+    Covers the JSON envelopes (run metadata, GA checkpoints, raw parameters)
+    and the per-point trace CSV byte for byte.
+    """
+    tree = {
+        "suite": {
+            "families": ["sphere"],
+            "dimension": 2,
+            "instances_per_family": 3,
+            "split_ratio": [0.34, 0.33, 0.33],
+            "seed": 5,
+        },
+        "policy": {"lambda": 5, "hidden_size": 8, "num_layers": 1},
+        "ga": {"population_size": 4, "n_elites": 1, "n_parents": 2, "generations": 2},
+        "episode": {"fe_max": 22, "tolerance": 0.1},
+        "runs_per_task": 1,
+        "master_seed": 31,
+        "workers": 1,
+    }
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(tree))
+    train_dir, params = tmp_path / "train", tmp_path / "params.json"
+    assert main(["train", "--config", str(cfg), "--out", str(train_dir),
+                 "--checkpoint-every", "2"]) == 0
+    assert main(["decode", str(train_dir / "best_genome.json"), "--out", str(params)]) == 0
+    policy_config, policy_params = load_params(params)
+    task = load_config(cfg).suite.build().tasks[0]
+    run_episode(LearnedOptimizer(policy_params, policy_config), task,
+                EpisodeConfig(lam=5, fe_max=22, episode_seed=9), trace_path=tmp_path / "trace.csv")
+    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ARTIFACT_GOLDEN}
+
+
+def test_envelope_and_trace_artifacts_match_pinned_hashes(tmp_path):
+    got = run_artifact_pipeline(tmp_path)
+    assert got == ARTIFACT_GOLDEN, (
         f"got {got}\npinned on one BLAS build; this one is {_fingerprint()}"
     )
