@@ -4,7 +4,8 @@ Batch random search samples uniformly from the domain each generation.
 CMA-ES follows the standard tutorial formulation (rank-mu and rank-one
 covariance updates with cumulative step-size adaptation). Both see exactly
 what any optimizer sees: previous points, their fitness values, and the
-generation index.
+generation index. Each draws from one generator seeded in ``reset``, one
+``lam x d`` block per generation, in generation order.
 
 Boundary rule for CMA-ES: points are clamped to [-1, 1] for evaluation, but
 the strategy updates use the unclamped samples, which keeps the update
@@ -15,12 +16,12 @@ unclamped points between the two calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .env import ActionBatch, Observation
-from .seeding import derive_seed, rng_from
+from .seeding import derive_seed, rng_from  # derive_seed: unused, in perfbench's SITES until ROADMAP item 1
 
 __all__ = [
     "default_cma_lambda",
@@ -40,22 +41,21 @@ def default_cma_lambda(dimension: int) -> int:
     return 4 + int(3 * math.log(dimension))
 
 
-def random_search_act(lam: int, dimension: int, seed: int, generation: int) -> ActionBatch:
-    """One generation of uniform samples, seeded by (seed, generation)."""
-    rng = rng_from(seed, generation)
+def random_search_act(rng: np.random.Generator, lam: int, dimension: int) -> ActionBatch:
+    """One generation of uniform samples: the next ``lam x dimension`` draws of ``rng``."""
     return ActionBatch(rng.uniform(-1.0, 1.0, (lam, dimension)))
 
 
 class RandomSearch:
-    """Stateless batch random search."""
+    """Batch random search; its only state is the episode's generator."""
 
     def reset(self, lam: int, dimension: int, seed: int) -> None:
         self._lam = lam
         self._dim = dimension
-        self._seed = seed
+        self._rng = rng_from(seed)
 
     def act(self, obs: Observation) -> ActionBatch:
-        return random_search_act(self._lam, self._dim, self._seed, obs.generation)
+        return random_search_act(self._rng, self._lam, self._dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,6 +78,10 @@ class CmaState:
     c1: float
     c_mu: float
     chi_d: float
+    eig: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)  # of cov, made anew by every replace
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "eig", _cov_eig(self.cov))
 
 
 def cma_init(
@@ -106,12 +110,9 @@ def cma_init(
     c_mu = min(1.0 - c1, 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((d + 2.0) ** 2 + mu_eff))
     chi_d = math.sqrt(d) * (1.0 - 1.0 / (4.0 * d) + 1.0 / (21.0 * d * d))
     mean = np.zeros(d) if mean is None else np.asarray(mean, dtype=float).copy()
-    for a in (weights, mean):
+    eye, zeros = np.eye(d), np.zeros(d)
+    for a in (weights, mean, eye, zeros):
         a.flags.writeable = False
-    eye = np.eye(d)
-    zeros = np.zeros(d)
-    eye.flags.writeable = False
-    zeros.flags.writeable = False
     return CmaState(
         dim=d,
         lam=lam,
@@ -144,17 +145,17 @@ def _cov_eig(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(vals, floor), vecs
 
 
-def cma_act(state: CmaState, lam: int, seed: int) -> tuple[ActionBatch, np.ndarray]:
-    """Sample lam points; returns the clamped batch and the raw samples.
+def cma_act(state: CmaState, lam: int, rng: np.random.Generator) -> tuple[ActionBatch, np.ndarray]:
+    """Sample lam points from the next lam x d normals of ``rng``.
 
-    The raw (unclamped) samples are the cache that must be passed back to
-    ``cma_update`` together with the fitness of the clamped batch.
+    Returns the clamped batch and the raw samples, the cache that must be
+    passed back to ``cma_update`` with the fitness of the clamped batch.
     """
     if lam < 1:
         raise ValueError("lam must be positive")
-    vals, vecs = _cov_eig(state.cov)
+    vals, vecs = state.eig
     sqrt_cov = (vecs * np.sqrt(vals)) @ vecs.T
-    z = rng_from(seed).standard_normal((lam, state.dim))
+    z = rng.standard_normal((lam, state.dim))
     raw = state.mean + state.step_size * (z @ sqrt_cov.T)
     return ActionBatch(np.clip(raw, -1.0, 1.0)), raw
 
@@ -180,7 +181,7 @@ def cma_update(state: CmaState, sampled_points: np.ndarray, fitness: np.ndarray)
     y_w = state.weights @ y
     new_mean = state.mean + state.step_size * y_w
 
-    vals, vecs = _cov_eig(state.cov)
+    vals, vecs = state.eig
     inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
     c_s, d_s = state.c_sigma, state.d_sigma
     p_sigma = (1.0 - c_s) * state.p_sigma + math.sqrt(
@@ -246,12 +247,11 @@ class CmaEs:
         self._step_size = step_size
         self._state: CmaState | None = None
         self._cache: np.ndarray | None = None
-        self._seed = 0
 
     def reset(self, lam: int, dimension: int, seed: int) -> None:
         self._state = cma_init(dimension, lam=lam, step_size=self._step_size)
         self._cache = None
-        self._seed = seed
+        self._rng = rng_from(seed)
 
     def act(self, obs: Observation) -> ActionBatch:
         if self._state is None:
@@ -262,5 +262,5 @@ class CmaEs:
             self._state = cma_update(
                 self._state, self._cache, _boundary_shaped(self._cache, obs.prev_fitness)
             )
-        batch, self._cache = cma_act(self._state, self._state.lam, derive_seed(self._seed, obs.generation))
+        batch, self._cache = cma_act(self._state, self._state.lam, self._rng)
         return batch

@@ -9,10 +9,11 @@ An episode runs until its budget ``fe_max`` is spent. Reaching the success
 tolerance freezes ``evals_to_success`` at that generation's cumulative
 evaluation count. A caller that reads only first-hit times (ERT and ECDF
 scoring) can pass ``stop_gap`` to end the episode at the first generation
-whose best gap reaches it: every draw is addressed by (episode seed,
-generation), so the generations that do run are the same as in the
-full-budget episode, and no first hit at or above ``stop_gap`` can change
-afterwards.
+whose best gap reaches it. Every draw is addressed by (episode seed,
+generation): an optimizer draws from one generator seeded by the episode
+seed, a fixed count per generation, so the generations that do run are the
+same as in the full-budget episode, and no first hit at or above
+``stop_gap`` can change afterwards.
 """
 
 from __future__ import annotations

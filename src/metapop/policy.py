@@ -10,7 +10,8 @@ makes the policy invariant to monotone transformations of the objective.
 The readout is a stochastic linear layer: output weights are sampled fresh
 per slot from N(mean, exp(log_sigma)) on every forward pass, and the emitted
 coordinate is tanh of the sampled projection, so actions always lie in
-[-1, 1].
+[-1, 1]. An episode draws every sample from one generator seeded in
+``reset``, one fixed-size block per generation, in generation order.
 
 Gate sigmoids are computed in the overflow-free form ``exp(-|x|)`` over the
 whole gate block at once. This is bit-identical to the masked form that
@@ -32,7 +33,7 @@ import numpy as np
 
 from .artifacts import load_json, save_json
 from .env import ActionBatch, Observation, Optimizer
-from .seeding import derive_seed, rng_from
+from .seeding import derive_seed, rng_from  # derive_seed: unused, in perfbench's SITES until ROADMAP item 1
 
 __all__ = [
     "PolicyConfig",
@@ -215,13 +216,13 @@ def act(
     params: PolicyParams,
     state: PolicyState,
     obs: Observation,
-    step_seed: int,
+    rng: np.random.Generator,
 ) -> tuple[ActionBatch, PolicyState]:
     """One policy step: propose the next population and advance the state.
 
-    Deterministic given (params, state, obs, step_seed). At generation 0 the
-    observation is empty, the input pair is (0, 0), and the state must be
-    fresh; the emitted batch is the learned initial population.
+    Deterministic given (params, state, obs, rng state); it draws exactly
+    n_slots x (hidden + 1) normals. At generation 0 the observation is empty,
+    the input pair is (0, 0), and the state must be fresh.
     """
     lam, d = state.lam, state.dim
     n_slots = lam * d
@@ -260,7 +261,7 @@ def act(
 
     # one fresh readout-weight sample per slot, indexed by slot position so
     # the result is independent of any internal evaluation order
-    weights = rng_from(step_seed).standard_normal((n_slots, hidden + 1))
+    weights = rng.standard_normal((n_slots, hidden + 1))
     weights *= np.exp(params.out_log_sigma)
     weights += params.out_mean
     weights[:, :hidden] *= layer_in  # the readout's bias input is 1
@@ -279,17 +280,15 @@ class LearnedOptimizer:
         self._params = params
         self._config = config
         self._state: PolicyState | None = None
-        self._seed = 0
 
     def reset(self, lam: int, dimension: int, seed: int) -> None:
         self._state = init_state(self._config, lam, dimension)
-        self._seed = seed
+        self._rng = rng_from(seed)
 
     def act(self, obs: Observation) -> ActionBatch:
         if self._state is None:
             raise RuntimeError("reset must be called before act")
-        step_seed = derive_seed(self._seed, obs.generation)
-        batch, self._state = act(self._params, self._state, obs, step_seed)
+        batch, self._state = act(self._params, self._state, obs, self._rng)
         return batch
 
 

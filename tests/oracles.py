@@ -15,7 +15,6 @@ import numpy as np
 
 from metapop.env import ActionBatch, Observation
 from metapop.policy import PolicyParams, PolicyState, rank_transform
-from metapop.seeding import rng_from
 
 
 def naive_evaluate(task, x) -> float:
@@ -150,8 +149,10 @@ def naive_auc(budgets, fractions, fe_max: float) -> float:
 # ---------------------------------------------------------------------------
 # Reference policy step: the masked-sigmoid forward pass exactly as first
 # written, kept verbatim so a faster ``policy.act`` can be checked against it
-# byte for byte. Unlike the rest of this file it is vectorized on purpose:
-# the point is identical IEEE operations, not an independent formulation.
+# byte for byte. The one change since: like ``act``, it draws its readout
+# sample from the episode's generator instead of seeding one per step.
+# Unlike the rest of this file it is vectorized on purpose: the point is
+# identical IEEE operations, not an independent formulation.
 
 
 def reference_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -167,7 +168,7 @@ def reference_act(
     params: PolicyParams,
     state: PolicyState,
     obs: Observation,
-    step_seed: int,
+    rng: np.random.Generator,
 ) -> tuple[ActionBatch, PolicyState]:
     lam, d = state.lam, state.dim
     n_slots = lam * d
@@ -206,7 +207,7 @@ def reference_act(
 
     # one fresh readout-weight sample per slot, indexed by slot position so
     # the result is independent of any internal evaluation order
-    noise = rng_from(step_seed).standard_normal((n_slots, hidden + 1))
+    noise = rng.standard_normal((n_slots, hidden + 1))
     weights = params.out_mean + np.exp(params.out_log_sigma) * noise
     h_with_bias = np.concatenate([layer_in, np.ones((n_slots, 1))], axis=1)
     points = np.tanh(np.sum(weights * h_with_bias, axis=1)).reshape(lam, d)

@@ -50,7 +50,7 @@ def test_1_act_is_invariant_under_monotone_fitness_transforms(capsys):
         params = init_params(config, seed=trial)
 
         state = init_state(config, lam, dim)
-        batch0, state = act(params, state, Observation(None, None, 0), step_seed=trial)
+        batch0, state = act(params, state, Observation(None, None, 0), np.random.default_rng(trial))
         points = batch0.points
         fitness = rng.uniform(0.5, 3.0, lam)
         kind = trial % 3
@@ -61,8 +61,8 @@ def test_1_act_is_invariant_under_monotone_fitness_transforms(capsys):
         else:
             transformed = np.exp(fitness)
 
-        out_f = act(params, state, Observation(points, fitness, 1), step_seed=trial + 1)
-        out_g = act(params, state, Observation(points, transformed, 1), step_seed=trial + 1)
+        out_f = act(params, state, Observation(points, fitness, 1), np.random.default_rng(trial + 1))
+        out_g = act(params, state, Observation(points, transformed, 1), np.random.default_rng(trial + 1))
         same = (
             np.array_equal(out_f[0].points, out_g[0].points)
             and np.array_equal(out_f[1].h, out_g[1].h)

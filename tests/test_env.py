@@ -7,6 +7,8 @@ import csv
 import numpy as np
 import pytest
 
+from metapop import baselines, policy
+from metapop.baselines import CmaEs, RandomSearch
 from metapop.env import (
     ActionBatch,
     EpisodeConfig,
@@ -21,6 +23,7 @@ from metapop.problems import (
     evaluate,
     make_instance,
 )
+from metapop.seeding import rng_from
 
 
 def _origin_sphere(dimension: int = 2, offset: float = 3.25) -> Task:
@@ -296,6 +299,83 @@ class TestStopGap:
         rec, _ = self._check_stop(lambda: _ConstantOptimizer(point), task, cfg, cfg.tolerance)
         assert rec.evals_used == 6 and rec.evals_to_success == 6
         np.testing.assert_array_equal(rec.best_gap_trajectory, np.zeros(1))
+
+
+class _RecordingRng:
+    """Generator proxy that keeps a copy of every block it hands out."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng, self.blocks = rng, []
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+
+        def recorded(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            self.blocks.append(np.array(out))
+            return out
+
+        return recorded
+
+
+class TestEpisodeStream:
+    """Every draw is addressed by (episode seed, generation): one generator
+    per episode, seeded by ``rng_from(episode_seed)``, gives generation g the
+    g-th fixed-size block of its stream.
+
+    The budgets are not multiples of lam, so the last generation is
+    truncated and still draws a full block.
+    """
+
+    @staticmethod
+    def _blocks(monkeypatch, module, optimizer, task, cfg):
+        made = []
+
+        def recording_rng_from(*parts):
+            made.append(_RecordingRng(rng_from(*parts)))
+            return made[-1]
+
+        monkeypatch.setattr(module, "rng_from", recording_rng_from)
+        rec = run_episode(optimizer, task, cfg)
+        assert len(made) == 1
+        return len(rec.best_gap_trajectory), np.stack(made[0].blocks)
+
+    def test_policy_readout_draws_are_blocks_of_the_episode_stream(self, monkeypatch):
+        config = policy.PolicyConfig(lam=6, hidden_size=8)
+        opt = policy.LearnedOptimizer(policy.init_params(config, 2), config)
+        task = make_instance(Family.SPHERE, 3, 7)
+        cfg = EpisodeConfig(lam=6, fe_max=40, episode_seed=13)
+        n_gen, blocks = self._blocks(monkeypatch, policy, opt, task, cfg)
+        assert n_gen == 7
+        want = rng_from(13).standard_normal((n_gen, 6 * 3, 8 + 1))
+        assert blocks.tobytes() == want.tobytes()
+
+    def test_random_search_points_are_blocks_of_the_episode_stream(self):
+        class _Sent(RandomSearch):
+            def reset(self, lam, dimension, seed):
+                super().reset(lam, dimension, seed)
+                self.sent = []
+
+            def act(self, obs):
+                batch = super().act(obs)
+                self.sent.append(batch.points)
+                return batch
+
+        opt = _Sent()
+        task = make_instance(Family.RASTRIGIN, 4, 3)
+        rec = run_episode(opt, task, EpisodeConfig(lam=9, fe_max=95, episode_seed=21))
+        n_gen = len(rec.best_gap_trajectory)
+        assert n_gen == len(opt.sent) == 11
+        want = rng_from(21).uniform(-1.0, 1.0, (n_gen, 9, 4))
+        assert np.stack(opt.sent).tobytes() == want.tobytes()
+
+    def test_cma_es_samples_are_blocks_of_the_episode_stream(self, monkeypatch):
+        task = make_instance(Family.SPHERE, 5, 11)
+        cfg = EpisodeConfig(lam=8, fe_max=90, episode_seed=4)
+        n_gen, blocks = self._blocks(monkeypatch, baselines, CmaEs(), task, cfg)
+        assert n_gen == 12
+        want = rng_from(4).standard_normal((n_gen, 8, 5))
+        assert blocks.tobytes() == want.tobytes()
 
 
 class TestRandomSearchSuccessRate:

@@ -5,20 +5,33 @@ numbers a run produces (policy step, GA, episodes, ERT, ECDF, CSV formatting)
 changes a hash. A speed-up that is meant to keep every bit must leave these
 values alone; a deliberate numerics change re-pins them and says so.
 
-Bits are only promised per BLAS build (matmul summation order is the
-library's choice), so a failure prints the numpy and BLAS fingerprint.
+Bits depend on the kernels that run: OpenBLAS picks a matmul kernel per CPU,
+and numpy picks SIMD loops per CPU. So every pinned pipeline runs in a fresh
+interpreter under ``PORTABLE_ENV``: OpenBLAS's generic x86-64 kernel and
+numpy's loops below AVX2, a code path that every x86-64 CPU takes, whatever
+kernel the caller's environment would select. Feature names that a CPU or
+numpy build does not know are ignored. Bits are still only promised per numpy
+and BLAS build, so a failure prints that build's fingerprint. ARM and other
+non-x86 machines are out of scope: these hashes are not expected to match
+there.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import metapop
 from metapop.cli import main
 from metapop.config import load_config
 from metapop.env import EpisodeConfig, run_episode
@@ -27,36 +40,54 @@ from metapop.policy import LearnedOptimizer, load_params
 #: (artifact path relative to the run directory) -> sha256, per dimension.
 GOLDEN = {
     2: {
-        "train/history.csv": "1164e0d2613bdef187c560354f32c82a4a99488ba17b830d579e812265861ce6",
-        "train/best_genome.json": "6e0d83bcf12e19b43978731e5fbb4a47dd7e94c35d2a186fcb23e0bbdac4a5cb",
-        "eval/ecdf.csv": "45db816f45fd1ddd06f7a084fe0104bdbd33f345d22a6b1c44f6591f6bce9c69",
-        "eval/ert.csv": "2e680b6642a29815883a5715c3c9fdf0b0bc5345b4a52ca8f20c06b78111765e",
-        "compare/ecdf.csv": "cc26ccd90493f4780dd5aa4ef056b7cfd8cfad1da754f8cff600ee0c7af0196e",
+        "train/history.csv": "e6125b388cd17f3a82357910270e9355d2dd6ad0385aba2287478217f55b3a44",
+        "train/best_genome.json": "ecd84ae74c140663b0e13196887db7372dae2c89ab1d9f49b88827b7fdc88045",
+        "eval/ecdf.csv": "92ac05d8371e660bc07fafe70bb5408dbda5bf92dbb4fec74f81d60851a778ec",
+        "eval/ert.csv": "020da2a85e83d889014853f8b1b3b4fd6283c8378444d7cdce3721c15e329516",
+        "compare/ecdf.csv": "9be893ec403deaa568c249d113a7c6697106afd6a9bf627084cf5f7162d26f5f",
     },
     5: {
-        "train/history.csv": "40d696f7d8127293e44bed23154904e2c1841fd53e15a16bf1547ddd2c37e696",
-        "train/best_genome.json": "a63cde102a904dce1ea5aa9a4b76f7fff4104d0435c4ca6f1a1094ddff654bc9",
-        "eval/ecdf.csv": "a8829e8f21f1a46cac7c15797ca360ce7ba3f59fe9864643584807382e3d5960",
-        "eval/ert.csv": "5166683b985e3e0ddbbf6348f2901b671fc1ee807ecd5fe17d3e678b5ec66af0",
-        "compare/ecdf.csv": "62f628ce9e4949425afcbb559211e968f619b24bbbc016b96de9601252f3e68c",
+        "train/history.csv": "f5c4a99f9db38fb79a91c6e2953d7165d6f5e86ace2218503dcf192b5bcac998",
+        "train/best_genome.json": "a72e776f46375c990b1f23f32b91ad020b0e82dbfc6320c791767a24257311c5",
+        "eval/ecdf.csv": "3f5569289e38d074bce00709910d5f00d7ed69446efe6543b6cfb02063f1592b",
+        "eval/ert.csv": "73fea637d119dc677fb17cc67a292b1a3fcb7ee0072406d179f508356247b000",
+        "compare/ecdf.csv": "501b258cabe6ecb04d5eb4b4f33c9323579016c8b0d11d1c5cc226aa46bdb33d",
     },
 }
 
 #: Artifacts of a 28-generation train whose best genome carries a long lineage.
 LINEAGE_GOLDEN = {
-    "history.csv": "738b2b4ab4acc63311c6a005970e2aa3bb143b6e35240fa5922a704a348fe784",
-    "best_genome.json": "581b545ba863b651799e312ff5a88c1955819c7fcdb049938325d542a92686f7",
+    "history.csv": "fb6e9263c2070ab28e06dea1347049b4e5fc1dcbbe5ed49e21790a840bad87f5",
+    "best_genome.json": "1b018badb826e30aaed1b033341ff0f255aa716d02712a65254168e4c5187dfe",
 }
 
 
 #: A pipeline whose episodes mostly succeed well inside their budget.
 SLOPE_GOLDEN = {
-    "train/history.csv": "fc7dff3029fa57b23a2b57f6c33981b11da16ba31ecbce23107ceb46e3dcfe7b",
+    "train/history.csv": "6b6d4acb0eaaa8ba71171217154ed9f24f85ca9f7a6c94be6422d25bb9e4a09a",
     "train/best_genome.json": "e17b019e7dd2d69066110574f987bf00947e76150e6c9ab3b6cc547f7a243b3a",
-    "eval/ecdf.csv": "dd008a24d77d7dabf54d2abbca8a4dfe3300f6407cfc729bf4fe52fad9c2110c",
-    "eval/ert.csv": "846e4b754487d3118d832d24855309d93f8665d78d5222a608311bc5b9016d7b",
-    "compare/ecdf.csv": "b0f1545c118b774c367cba758c07ecb69ba14214f0522c31d1bc281dd47ae218",
+    "eval/ecdf.csv": "63da5525cd8ef9498dcb6490eb7e0e214c6f40629465bf015dd43a0e959f4f91",
+    "eval/ert.csv": "3276dd29341617c4c1c21b2acff4b668c3eaeaccf011ee31bdbe47acd01322d6",
+    "compare/ecdf.csv": "b66b58a1dc9313db2ea75d1a111758721683fcad769bc340bfca0647c43a885d",
 }
+
+
+#: The environment every pinned pipeline runs under (see the module docstring).
+PORTABLE_ENV = {
+    "OPENBLAS_CORETYPE": "Prescott",
+    "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+}
+
+
+def _openblas_core() -> str:
+    """The kernel OpenBLAS chose at run time, read from the library numpy ships."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):  # another BLAS or wheel layout
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 def _fingerprint() -> str:
@@ -65,7 +96,32 @@ def _fingerprint() -> str:
         blas_id = f"{blas.get('name')} {blas.get('version')}"
     except Exception as exc:  # show_config's layout is not a stable API
         blas_id = f"unknown ({exc})"
-    return f"numpy {np.__version__}, BLAS {blas_id}, python {platform.python_version()}"
+    disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES", "")
+    return (
+        f"numpy {np.__version__}, BLAS {blas_id} (kernel {_openblas_core()}), "
+        f"NPY_DISABLE_CPU_FEATURES={disabled!r}, python {platform.python_version()} on {platform.machine()}"
+    )
+
+
+def _portable(tmp_path, pipeline: str, *args) -> tuple[dict[str, str], str]:
+    """Run ``pipeline(tmp_path, *args)`` of this module in a fresh interpreter
+    under ``PORTABLE_ENV``; return its hashes and that interpreter's fingerprint."""
+    result = tmp_path / f"{pipeline}.json"
+    code = (
+        "import json, sys; from pathlib import Path; import test_golden as g; "
+        "name, out, args, result = sys.argv[1:]; "
+        "got = getattr(g, name)(Path(out), *json.loads(args)); "
+        "Path(result).write_text(json.dumps([got, g._fingerprint()]))"
+    )
+    path = [str(Path(metapop.__file__).parents[1]), str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, **PORTABLE_ENV, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, pipeline, str(tmp_path), json.dumps(args), str(result)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, f"{pipeline} failed:\n{proc.stderr}"
+    hashes, fingerprint = json.loads(result.read_text())
+    return hashes, fingerprint
 
 
 def run_pipeline(tmp_path, dimension: int) -> dict[str, str]:
@@ -109,12 +165,12 @@ def _cli_pipeline_hashes(tmp_path, tree: dict, names) -> dict[str, str]:
 
 @pytest.mark.parametrize("dimension", sorted(GOLDEN))
 def test_pipeline_artifacts_match_pinned_hashes(tmp_path, dimension):
-    got = run_pipeline(tmp_path, dimension)
+    got, fingerprint = _portable(tmp_path, "run_pipeline", dimension)
     changed = sorted(name for name, digest in got.items() if digest != GOLDEN[dimension][name])
     assert not changed, (
         f"artifacts changed at d={dimension}: {changed}\n"
         f"got {got}\n"
-        f"pinned on one BLAS build; this one is {_fingerprint()}"
+        f"pinned on one numpy/BLAS build; this one is {fingerprint}"
     )
 
 
@@ -150,11 +206,11 @@ def run_lineage_train(tmp_path, workers: int) -> dict[str, str]:
 
 
 def test_long_lineage_train_matches_pinned_hashes_at_any_worker_count(tmp_path):
-    serial = run_lineage_train(tmp_path, workers=1)
+    serial, fingerprint = _portable(tmp_path, "run_lineage_train", 1)
     assert serial == LINEAGE_GOLDEN, (
-        f"got {serial}\npinned on one BLAS build; this one is {_fingerprint()}"
+        f"got {serial}\npinned on one numpy/BLAS build; this one is {fingerprint}"
     )
-    assert run_lineage_train(tmp_path, workers=2) == serial
+    assert _portable(tmp_path, "run_lineage_train", 2)[0] == serial
 
 
 def run_slope_pipeline(tmp_path) -> dict[str, str]:
@@ -183,19 +239,19 @@ def run_slope_pipeline(tmp_path) -> dict[str, str]:
 
 
 def test_slope_pipeline_with_mid_budget_successes_matches_pinned_hashes(tmp_path):
-    got = run_slope_pipeline(tmp_path)
+    got, fingerprint = _portable(tmp_path, "run_slope_pipeline")
     assert got == SLOPE_GOLDEN, (
-        f"got {got}\npinned on one BLAS build; this one is {_fingerprint()}"
+        f"got {got}\npinned on one numpy/BLAS build; this one is {fingerprint}"
     )
 
 
 #: Files of one tiny train -> decode run that the pipelines above do not hash.
 ARTIFACT_GOLDEN = {
     "train/metadata.json": "2c8152b36604fb511b85a465f8467ce50b601e69a03f96802269e373f41c4ad3",
-    "train/checkpoints/checkpoint_0000.json": "5573cc656da238447b44eec557e12d27ecabc58cef073140b0044083f2b826ce",
-    "train/checkpoints/checkpoint_0002.json": "404faaa2927c028dbbf1fe47436a0d17e2b4aa458bbf7b9f2daaebf0bce68916",
-    "params.json": "f4841730ab76d729fc818fa39eaf8b8ba28455ea3538099ec0b9886db167b5ff",
-    "trace.csv": "dfb31324f0d458f12c71e41f6215bbd7e84ed2abebc3df764612f72b645c3293",
+    "train/checkpoints/checkpoint_0000.json": "5392f0e1c76c4f95d90ca159db7681a6446268481af98b8e95067d41fbc6868c",
+    "train/checkpoints/checkpoint_0002.json": "2e66b06c9d96b470c33ae84d70e616a8ff000a91a710cbaa578729716457888c",
+    "params.json": "bcfb1925afd803b029e5af4a3630595180ac00f23b4e63421399e9a757a36f48",
+    "trace.csv": "0ee0977fd4bc6eaeb50297fd14cf1a129f473bb9625781817436b1a5aabb2522",
 }
 
 
@@ -234,7 +290,7 @@ def run_artifact_pipeline(tmp_path) -> dict[str, str]:
 
 
 def test_envelope_and_trace_artifacts_match_pinned_hashes(tmp_path):
-    got = run_artifact_pipeline(tmp_path)
+    got, fingerprint = _portable(tmp_path, "run_artifact_pipeline")
     assert got == ARTIFACT_GOLDEN, (
-        f"got {got}\npinned on one BLAS build; this one is {_fingerprint()}"
+        f"got {got}\npinned on one numpy/BLAS build; this one is {fingerprint}"
     )

@@ -27,7 +27,7 @@ from metapop.policy import (
     unflatten,
 )
 from metapop.problems import Family, make_instance
-from metapop.seeding import derive_seed
+from metapop.seeding import rng_from
 
 CFG = PolicyConfig(lam=4, hidden_size=32, num_layers=2)
 
@@ -147,8 +147,8 @@ class TestAct:
         p = init_params(CFG, 0)
         s = init_state(CFG, 4, 3)
         obs = Observation(None, None, 0)
-        a1, _ = act(p, s, obs, step_seed=11)
-        a2, _ = act(p, s, obs, step_seed=11)
+        a1, _ = act(p, s, obs, np.random.default_rng(11))
+        a2, _ = act(p, s, obs, np.random.default_rng(11))
         np.testing.assert_array_equal(a1.points, a2.points)
         assert a1.points.shape == (4, 3)
 
@@ -156,8 +156,8 @@ class TestAct:
         p = init_params(CFG, 0)
         s = init_state(CFG, 4, 3)
         obs = Observation(None, None, 0)
-        a1, _ = act(p, s, obs, step_seed=11)
-        a2, _ = act(p, s, obs, step_seed=12)
+        a1, _ = act(p, s, obs, np.random.default_rng(11))
+        a2, _ = act(p, s, obs, np.random.default_rng(12))
         assert np.abs(a1.points - a2.points).max() > 0.0
 
     def test_outputs_always_in_bounds(self):
@@ -167,11 +167,11 @@ class TestAct:
         for seed in range(100):
             p = init_params(CFG, seed)
             s = init_state(CFG, 10, 5)
-            batch, s = act(p, s, Observation(None, None, 0), seed)
+            batch, s = act(p, s, Observation(None, None, 0), np.random.default_rng(seed))
             total += batch.points.size
             assert np.abs(batch.points).max() <= 1.0
             obs = _random_obs(rng, 10, 5)
-            batch, _ = act(p, s, obs, seed + 1)
+            batch, _ = act(p, s, obs, np.random.default_rng(seed + 1))
             total += batch.points.size
             assert np.abs(batch.points).max() <= 1.0
         assert total >= 1e4
@@ -180,22 +180,22 @@ class TestAct:
         """Strictly increasing fitness maps leave the action unchanged."""
         p = init_params(CFG, 2)
         s0 = init_state(CFG, 4, 3)
-        _, s1 = act(p, s0, Observation(None, None, 0), 0)
+        _, s1 = act(p, s0, Observation(None, None, 0), np.random.default_rng(0))
         rng = np.random.default_rng(8)
         pts = rng.uniform(-1, 1, (4, 3))
         fit = rng.normal(size=4)
         obs_a = Observation(pts, fit, 1)
         obs_b = Observation(pts, np.exp(fit) + 5.0, 1)
-        a, _ = act(p, s1, obs_a, 9)
-        b, _ = act(p, s1, obs_b, 9)
+        a, _ = act(p, s1, obs_a, np.random.default_rng(9))
+        b, _ = act(p, s1, obs_b, np.random.default_rng(9))
         np.testing.assert_array_equal(a.points, b.points)
 
     def test_degenerate_sigma_ignores_step_seed(self):
         """With log-sigma at -30 the readout is effectively deterministic."""
         p = _with_log_sigma(init_params(CFG, 4), -30.0)
         s = init_state(CFG, 4, 2)
-        a, _ = act(p, s, Observation(None, None, 0), 100)
-        b, _ = act(p, s, Observation(None, None, 0), 200)
+        a, _ = act(p, s, Observation(None, None, 0), np.random.default_rng(100))
+        b, _ = act(p, s, Observation(None, None, 0), np.random.default_rng(200))
         np.testing.assert_allclose(a.points, b.points, atol=1e-10)
 
     def test_individual_permutation_equivariance(self):
@@ -204,19 +204,19 @@ class TestAct:
         cfg = PolicyConfig(lam=lam)
         p = _with_log_sigma(init_params(cfg, 6), -30.0)
         s0 = init_state(cfg, lam, d)
-        _, s1 = act(p, s0, Observation(None, None, 0), 0)
+        _, s1 = act(p, s0, Observation(None, None, 0), np.random.default_rng(0))
         rng = np.random.default_rng(13)
         pts = rng.uniform(-1, 1, (lam, d))
         fit = rng.normal(size=lam)
         perm = np.array([3, 0, 4, 1, 2])
 
         obs = Observation(pts, fit, 1)
-        base, _ = act(p, s1, obs, 1)
+        base, _ = act(p, s1, obs, np.random.default_rng(1))
 
         slot_perm = (perm[:, None] * d + np.arange(d)).ravel()
         s1p = PolicyState(lam, d, s1.h[:, slot_perm], s1.c[:, slot_perm], s1.prev_point[perm])
         obs_p = Observation(pts[perm], fit[perm], 1)
-        permuted, _ = act(p, s1p, obs_p, 1)
+        permuted, _ = act(p, s1p, obs_p, np.random.default_rng(1))
         np.testing.assert_allclose(permuted.points, base.points[perm], atol=1e-12)
 
     def test_coordinate_permutation_equivariance(self):
@@ -225,18 +225,18 @@ class TestAct:
         cfg = PolicyConfig(lam=lam)
         p = _with_log_sigma(init_params(cfg, 6), -30.0)
         s0 = init_state(cfg, lam, d)
-        _, s1 = act(p, s0, Observation(None, None, 0), 0)
+        _, s1 = act(p, s0, Observation(None, None, 0), np.random.default_rng(0))
         rng = np.random.default_rng(14)
         pts = rng.uniform(-1, 1, (lam, d))
         fit = rng.normal(size=lam)
         perm = np.array([2, 0, 1])
 
-        base, _ = act(p, s1, Observation(pts, fit, 1), 1)
+        base, _ = act(p, s1, Observation(pts, fit, 1), np.random.default_rng(1))
 
         slot_perm = (np.arange(lam)[:, None] * d + perm).ravel()
         s1p = PolicyState(lam, d, s1.h[:, slot_perm], s1.c[:, slot_perm], s1.prev_point[:, perm])
         obs_p = Observation(pts[:, perm], fit, 1)
-        permuted, _ = act(p, s1p, obs_p, 1)
+        permuted, _ = act(p, s1p, obs_p, np.random.default_rng(1))
         np.testing.assert_allclose(permuted.points, base.points[:, perm], atol=1e-12)
 
     def test_matches_naive_cell_oracle(self):
@@ -249,8 +249,8 @@ class TestAct:
         pts = rng.uniform(-1, 1, (lam, d))
         fit = rng.normal(size=lam)
 
-        _, s1 = act(p, s0, Observation(None, None, 0), 0)
-        got, _ = act(p, s1, Observation(pts, fit, 1), 1)
+        _, s1 = act(p, s0, Observation(None, None, 0), np.random.default_rng(0))
+        got, _ = act(p, s1, Observation(pts, fit, 1), np.random.default_rng(1))
 
         ranks = oracles.naive_rank_transform(list(fit))
         for i in range(lam):
@@ -281,7 +281,7 @@ class TestAct:
         obs = Observation(None, None, 0)
         rng = np.random.default_rng(0)
         for g in range(5):
-            batch, s = act(p, s, obs, g)
+            batch, s = act(p, s, obs, np.random.default_rng(g))
             assert np.abs(s.h).max() < 1.0
             np.testing.assert_array_equal(s.prev_point, batch.points)
             obs = Observation(batch.points, rng.normal(size=4), g + 1)
@@ -289,24 +289,25 @@ class TestAct:
     def test_generation0_requires_fresh_state(self):
         p = init_params(CFG, 0)
         s = init_state(CFG, 4, 3)
-        _, s1 = act(p, s, Observation(None, None, 0), 0)
+        _, s1 = act(p, s, Observation(None, None, 0), np.random.default_rng(0))
         with pytest.raises(ValueError):
-            act(p, s1, Observation(None, None, 0), 1)
+            act(p, s1, Observation(None, None, 0), np.random.default_rng(1))
 
     def test_shape_mismatch_rejected(self):
         p = init_params(CFG, 0)
         s = init_state(CFG, 4, 3)
-        _, s1 = act(p, s, Observation(None, None, 0), 0)
+        _, s1 = act(p, s, Observation(None, None, 0), np.random.default_rng(0))
         bad = Observation(np.zeros((5, 3)), np.zeros(5), 1)
         with pytest.raises(ValueError):
-            act(p, s1, bad, 1)
+            act(p, s1, bad, np.random.default_rng(1))
 
 
 class _LockstepOptimizer:
     """Runs ``act`` and the frozen reference step side by side in one episode.
 
-    Each keeps its own state chain; every emitted batch must match byte for
-    byte, and the final states are kept for comparison.
+    Each keeps its own state chain and its own generator, both built by
+    ``rng_from(seed)`` once per episode; every emitted batch must match byte
+    for byte, and the final states are kept for comparison.
     """
 
     def __init__(self, params, config):
@@ -314,12 +315,12 @@ class _LockstepOptimizer:
 
     def reset(self, lam, dimension, seed):
         self.state = self.ref_state = init_state(self.config, lam, dimension)
-        self.seed, self.steps = seed, 0
+        self.rng, self.ref_rng = rng_from(seed), rng_from(seed)
+        self.steps = 0
 
     def act(self, obs):
-        step_seed = derive_seed(self.seed, obs.generation)
-        batch, self.state = act(self.params, self.state, obs, step_seed)
-        ref, self.ref_state = oracles.reference_act(self.params, self.ref_state, obs, step_seed)
+        batch, self.state = act(self.params, self.state, obs, self.rng)
+        ref, self.ref_state = oracles.reference_act(self.params, self.ref_state, obs, self.ref_rng)
         assert batch.points.shape == ref.points.shape
         assert batch.points.tobytes() == ref.points.tobytes(), f"generation {obs.generation}"
         self.steps += 1
