@@ -3,18 +3,17 @@
 Follows the COCO benchmarking methodology. :func:`collect` runs each
 (task, run) episode once, up to the first generation that reaches the
 tightest target, and returns the records grouped per task. Everything else
-is a pure function of those records: :func:`first_hits` scans a record's
-best-gap trajectory for the first-hit evaluation count of every target
-precision, :func:`run_ecdf` aggregates those first hits over all
+is a pure function of those records, and every success is a first hit read
+off a record's best-gap trajectory by
+:meth:`~metapop.env.RolloutRecord.first_hit`: :func:`first_hits` lists them
+for every target precision, :func:`run_ecdf` aggregates them over all
 (task, target, run) triples as a function of budget, and :func:`ert_table`
-turns them into per-(task, target) ERT statistics.
-First hits are resolved at generation granularity: hitting during
-generation g costs min((g + 1) * lam, fe_max) evaluations.
+estimates ERT statistics per (task, target) from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -115,16 +114,7 @@ class EcdfCurve:
 
 def first_hits(record: RolloutRecord, targets: TargetSet, lam: int, fe_max: int) -> list[int | None]:
     """First-hit evaluation count per target, None where never reached."""
-    traj = record.best_gap_trajectory
-    hits: list[int | None] = []
-    for precision in targets.precisions:
-        reached = np.nonzero(traj <= precision)[0]
-        if reached.size == 0:
-            hits.append(None)
-        else:
-            g = int(reached[0])
-            hits.append(min((g + 1) * lam, fe_max))
-    return hits
+    return [record.first_hit(precision, lam, fe_max) for precision in targets.precisions]
 
 
 def _curve_from_hits(hit_budgets: list[int], n_pairs: int) -> EcdfCurve:
@@ -155,8 +145,9 @@ def collect(
 
     The one place that decides where a scored episode stops: at the tightest
     gap that any derivation reads, the final target or the episode tolerance
-    if that is tighter (it decides each record's ``success``). No first hit
-    can change after it. :func:`run_ecdf`, :func:`ert_table` and the GA's
+    if that is tighter, because :func:`metapop.ert.meta_fitness` reads first
+    hits at the episode tolerance. No first hit can change after it.
+    :func:`run_ecdf`, :func:`ert_table` and the GA's
     :func:`metapop.ert.meta_fitness` all derive from these records.
     """
     return collect_records(optimizer, tasks, runs_per_task, episode_config, seed, workers,
@@ -199,19 +190,10 @@ def ert_table(
     rows: list[ErtRow] = []
     for task, records in zip(tasks, grouped, strict=True):
         fe_max = episode_config.resolve_fe_max(task.dimension)
-        per_target_hits = [
-            first_hits(rec, targets, episode_config.lam, fe_max) for rec in records
-        ]
-        for t_idx, precision in enumerate(targets.precisions):
-            retargeted = [
-                replace(
-                    rec,
-                    success=per_target_hits[r_idx][t_idx] is not None,
-                    evals_to_success=per_target_hits[r_idx][t_idx],
-                )
-                for r_idx, rec in enumerate(records)
-            ]
-            rows.append(ErtRow(task.task_id, precision, estimate(retargeted, fe_max)))
+        rows.extend(
+            ErtRow(task.task_id, precision, estimate(records, precision, episode_config.lam, fe_max))
+            for precision in targets.precisions
+        )
     return rows
 
 

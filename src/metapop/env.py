@@ -5,14 +5,16 @@ One environment step is one generation: the optimizer proposes a batch of
 and packages the batch plus its fitness values into the next observation.
 The optimizer never sees the task identity, the optimum value, or gradients.
 
-An episode runs until its budget ``fe_max`` is spent. Reaching the success
-tolerance freezes ``evals_to_success`` at that generation's cumulative
-evaluation count. A caller that reads only first-hit times (ERT and ECDF
-scoring) can pass ``stop_gap`` to end the episode at the first generation
-whose best gap reaches it. Every draw is addressed by (episode seed,
-generation): an optimizer draws from one generator seeded by the episode
-seed, a fixed count per generation, so the generations that do run are the
-same as in the full-budget episode, and no first hit at or above
+An episode runs until its budget ``fe_max`` is spent and records its
+best-gap trajectory, the best gap so far after each generation. That is all
+a record keeps: success at any precision, and the evaluations it took, is a
+first hit read off the trajectory by :meth:`RolloutRecord.first_hit`, the
+one home of that rule. A caller that reads only first-hit times (ERT and
+ECDF scoring) can pass ``stop_gap`` to end the episode at the first
+generation whose best gap reaches it. Every draw is addressed by (episode
+seed, generation): an optimizer draws from one generator seeded by the
+episode seed, a fixed count per generation, so the generations that do run
+are the same as in the full-budget episode, and no first hit at or above
 ``stop_gap`` can change afterwards.
 """
 
@@ -86,20 +88,30 @@ class RolloutRecord:
     """
 
     evals_used: int
-    success: bool
-    evals_to_success: int | None
-    best_gap: float
     best_gap_trajectory: np.ndarray
     episode_seed: int
 
-    def __post_init__(self) -> None:
-        if self.success != (self.evals_to_success is not None):
-            raise ValueError("success and evals_to_success must agree")
+    @property
+    def best_gap(self) -> float:
+        return float(self.best_gap_trajectory[-1])
+
+    def first_hit(self, precision: float, lam: int, fe_max: int) -> int | None:
+        """Evaluations spent when the best gap first reached ``precision``.
+
+        None if it never did. Hits resolve at generation granularity: the hit
+        costs every evaluation up to the end of its generation, and the last
+        generation is truncated at ``fe_max``.
+        """
+        reached = np.flatnonzero(self.best_gap_trajectory <= precision)
+        if reached.size == 0:
+            return None
+        g = int(reached[0])
+        return min((g + 1) * lam, fe_max)
 
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    """Episode budget and success criterion.
+    """Episode budget and the success tolerance that GA scoring reads.
 
     ``fe_max`` of None resolves to 100 * dimension at run time.
     """
@@ -177,7 +189,6 @@ def run_episode(
 
     evals_used = 0
     best_gap = float("inf")
-    evals_to_success: int | None = None
     trajectory: list[float] = []
     trace_rows: list[list] = []
 
@@ -197,8 +208,6 @@ def run_episode(
         gen_gap = float(fitness.min()) - f_star
         best_gap = gen_gap if generation == 0 else min(best_gap, gen_gap)
         trajectory.append(best_gap)
-        if evals_to_success is None and best_gap <= config.tolerance:
-            evals_to_success = evals_used
         if stop_gap is not None and best_gap <= stop_gap:
             break
 
@@ -211,14 +220,7 @@ def run_episode(
 
     traj = np.asarray(trajectory, dtype=float)
     traj.flags.writeable = False
-    return RolloutRecord(
-        evals_used=evals_used,
-        success=evals_to_success is not None,
-        evals_to_success=evals_to_success,
-        best_gap=best_gap,
-        best_gap_trajectory=traj,
-        episode_seed=config.episode_seed,
-    )
+    return RolloutRecord(evals_used=evals_used, best_gap_trajectory=traj, episode_seed=config.episode_seed)
 
 
 def _write_trace(path: Path, rows: list[list], dimension: int) -> None:

@@ -9,9 +9,12 @@ until it first succeeds, costs on average
 function evaluations: the number of failed runs before the first success is
 geometric with mean (1 - p_s) / p_s, each failure burns the full budget, and
 the final successful run costs its first-hit evaluation count. Both factors
-are estimated from a batch of episode records. The meta-objective is the mean
-of this quantity over a batch of tasks (lower is better), derived from
-records grouped per task; :func:`metapop.bench.collect` runs the episodes.
+are estimated from a batch of episode records at one target precision: a run
+succeeds when :meth:`~metapop.env.RolloutRecord.first_hit` finds the
+precision in its best-gap trajectory. The meta-objective is the mean of this
+quantity over a batch of tasks (lower is better) at the episode tolerance,
+derived from records grouped per task; :func:`metapop.bench.collect` runs the
+episodes.
 """
 
 from __future__ import annotations
@@ -92,22 +95,22 @@ def _fallback_expected_fe(records: Sequence[RolloutRecord], fe_max: int) -> floa
     return expected_restarts(p_tilde) * fe_max + fe_max + fe_max * progress
 
 
-def estimate(records: Sequence[RolloutRecord], fe_max: int) -> ErtStats:
-    """Estimate ERT statistics from a batch of episode records."""
+def estimate(records: Sequence[RolloutRecord], precision: float, lam: int, fe_max: int) -> ErtStats:
+    """ERT statistics of episode records; a success reaches a gap of at most ``precision``."""
     if not records:
         raise ValueError("estimate needs at least one record")
     for rec in records:
         if rec.evals_used > fe_max:
             raise ValueError("record used more evaluations than fe_max")
     n_runs = len(records)
-    successes = [r for r in records if r.success]
-    n_success = len(successes)
+    hits = [h for h in (r.first_hit(precision, lam, fe_max) for r in records) if h is not None]
+    n_success = len(hits)
     p_hat = n_success / n_runs
     if n_success == 0:
         e_succ = None
         e_fe = _fallback_expected_fe(records, fe_max)
     else:
-        e_succ = math.fsum(r.evals_to_success for r in successes) / n_success
+        e_succ = math.fsum(hits) / n_success
         e_fe = expected_fe(p_hat, e_succ, fe_max)
     return ErtStats(
         n_runs=n_runs,
@@ -175,14 +178,16 @@ def meta_fitness(
     """Mean expected-FE over tasks; the outer loop minimizes this.
 
     ``grouped`` holds each task's records, as :func:`metapop.bench.collect`
-    returns them for the single target ``episode_config.tolerance``: a
-    success needs only its first hit, and the zero-success fallback only sees
-    tasks where no episode succeeded, which therefore ran their full budgets.
+    returns them for the single target ``episode_config.tolerance``, the
+    precision a success must reach here: a success needs only its first hit,
+    and the zero-success fallback only sees tasks where no episode succeeded,
+    which therefore ran their full budgets.
     """
     if not tasks:
         raise ValueError("tasks must be non-empty")
+    lam, tolerance = episode_config.lam, episode_config.tolerance
     per_task = [
-        estimate(records, episode_config.resolve_fe_max(task.dimension)).expected_fe
+        estimate(records, tolerance, lam, episode_config.resolve_fe_max(task.dimension)).expected_fe
         for task, records in zip(tasks, grouped, strict=True)
     ]
     # fsum is exactly associative-free, keeping the mean identical under any

@@ -211,7 +211,6 @@ def train(
     workers: int = 0,
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int = 10,
-    fixed_episode_seeds: bool = False,
     progress: ProgressFn | None = None,
 ) -> tuple[Genome, TrainHistory]:
     """Run the outer loop and return (best genome, history).
@@ -220,9 +219,6 @@ def train(
     scores the population, a history row is recorded, then the population
     evolves; after the last evolve step one final round scores and selects
     the returned genome. ``generations=0`` is a single evaluation round.
-
-    ``fixed_episode_seeds`` reuses one episode-seed block across all rounds
-    (noise-free mode: elitism then makes the best fitness non-increasing).
 
     After each round but the last, the flat vectors of its ``n_parents`` best
     genomes are kept as the :func:`decode` ancestors of the next round.
@@ -243,14 +239,13 @@ def train(
     started = time.monotonic()
 
     for g in range(ga_config.generations + 1):
-        eval_seed = derive_seed(master_seed, 1) if fixed_episode_seeds else derive_seed(master_seed, 1, g)
         score = partial(
             _genome_fitness,
             policy_config=policy_config,
             tasks=train_tasks,
             runs_per_task=runs_per_task,
             episode_config=episode_config,
-            seed=eval_seed,
+            seed=derive_seed(master_seed, 1, g),
             ancestors=ancestors,
         )
         fitnesses = parallel_map(score, population, workers)

@@ -49,21 +49,27 @@ __all__ = [
     "load_params",
 ]
 
+#: Per-slot network input (coordinate, rank) and output (coordinate): fixed by design.
+INPUT_SIZE = 2
+OUTPUT_SIZE = 1
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Architecture hyperparameters. Input/output sizes are fixed by design."""
+    """Architecture hyperparameters.
+
+    ``lam`` is at least 2, since the fitness ranks need two individuals.
+    """
 
     lam: int
     hidden_size: int = 32
     num_layers: int = 2
-    input_size: int = 2
-    output_size: int = 1
 
     def __post_init__(self) -> None:
-        if self.lam < 1 or self.hidden_size < 1 or self.num_layers < 1:
-            raise ValueError("lam, hidden_size and num_layers must be positive")
-        if self.input_size != 2 or self.output_size != 1:
-            raise ValueError("the architecture is fixed to 2 inputs and 1 output")
+        if self.lam < 2:
+            raise ValueError(f"lam must be >= 2 to rank fitness values, got {self.lam}")
+        if self.hidden_size < 1 or self.num_layers < 1:
+            raise ValueError("hidden_size and num_layers must be positive")
 
     def to_json(self) -> dict:
         """The artifact block; its key order is part of the files' bytes."""
@@ -71,13 +77,15 @@ class PolicyConfig:
             "lambda": self.lam,
             "hidden_size": self.hidden_size,
             "num_layers": self.num_layers,
-            "input_size": self.input_size,
-            "output_size": self.output_size,
+            "input_size": INPUT_SIZE,
+            "output_size": OUTPUT_SIZE,
         }
 
     @classmethod
     def from_json(cls, data: dict) -> PolicyConfig:
-        return cls(data["lambda"], data["hidden_size"], data["num_layers"], data["input_size"], data["output_size"])
+        if (data["input_size"], data["output_size"]) != (INPUT_SIZE, OUTPUT_SIZE):
+            raise ValueError(f"the architecture is fixed to {INPUT_SIZE} inputs and {OUTPUT_SIZE} output")
+        return cls(data["lambda"], data["hidden_size"], data["num_layers"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +117,7 @@ class PolicyState:
 
 def _layer_sizes(config: PolicyConfig) -> list[tuple[int, int]]:
     sizes = []
-    n_in = config.input_size
+    n_in = INPUT_SIZE
     for _ in range(config.num_layers):
         sizes.append((n_in, config.hidden_size))
         n_in = config.hidden_size

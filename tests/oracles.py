@@ -83,6 +83,21 @@ def naive_expected_fe(p_succ: float, fe_max: float, mean_fe_succ: float) -> floa
     return (1.0 - p_succ) / p_succ * fe_max + mean_fe_succ
 
 
+def evals_to_success(best_gaps, lam: int, fe_max: int, tolerance: float) -> int | None:
+    """Evaluations an episode spent up to its first best gap at most ``tolerance``.
+
+    The episode loop's own bookkeeping, replayed: each generation adds the
+    evaluations it spent, ``lam`` or whatever budget is left, and the count
+    freezes at the first generation whose best gap reaches the tolerance.
+    """
+    evals_used = 0
+    for gap in best_gaps:
+        evals_used += min(lam, fe_max - evals_used)
+        if gap <= tolerance:
+            return evals_used
+    return None
+
+
 def simulate_restart_fe(p_succ: float, fe_max: float, mean_fe_succ: float, n_sims: int, rng) -> float:
     """Monte-Carlo estimate of the conceptual restart algorithm's cost."""
     total = 0.0

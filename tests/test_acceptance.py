@@ -148,7 +148,7 @@ def test_4_baseline_sanity_cma_solves_sphere_and_rs_matches_volume(capsys):
         for seed in range(100):
             task = make_instance(Family.SPHERE, dimension, 1000 + seed)
             cfg = EpisodeConfig(lam=lam, fe_max=1000 * dimension, episode_seed=seed)
-            count += run_episode(CmaEs(), task, cfg, stop_gap=cfg.tolerance).success
+            count += run_episode(CmaEs(), task, cfg, stop_gap=cfg.tolerance).best_gap <= cfg.tolerance
         wins[dimension] = count
 
     tol = 0.5

@@ -52,13 +52,7 @@ def _origin_sphere(offset=0.0, task_id="origin"):
 
 def _record(traj, lam=10, fe_max=200):
     traj = np.asarray(traj, dtype=float)
-    evals = min(len(traj) * lam, fe_max)
-    success = bool(traj.min() <= 1e-3)
-    first = None
-    if success:
-        g = int(np.nonzero(traj <= 1e-3)[0][0])
-        first = min((g + 1) * lam, fe_max)
-    return RolloutRecord(evals, success, first, float(traj.min()), traj, 0)
+    return RolloutRecord(min(len(traj) * lam, fe_max), traj, 0)
 
 
 class TestTargetSet:

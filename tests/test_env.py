@@ -6,7 +6,10 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from metapop import baselines, policy
 from metapop.baselines import CmaEs, RandomSearch
 from metapop.env import (
@@ -112,9 +115,9 @@ class TestRunEpisode:
         task = make_instance(Family.RASTRIGIN, 3, 4)
         lam = 6
         opt = _ConstantOptimizer(np.tile(task.optimum_location(), (lam, 1)))
-        rec = run_episode(opt, task, EpisodeConfig(lam=lam, fe_max=60))
-        assert rec.success
-        assert rec.evals_to_success == lam
+        cfg = EpisodeConfig(lam=lam, fe_max=60)
+        rec = run_episode(opt, task, cfg)
+        assert rec.first_hit(cfg.tolerance, lam, 60) == lam
         assert rec.evals_used == 60
         assert rec.best_gap == 0.0
         np.testing.assert_array_equal(rec.best_gap_trajectory, np.zeros(10))
@@ -123,9 +126,9 @@ class TestRunEpisode:
         """A constant non-optimal policy fails with the corner's exact gap."""
         task = _origin_sphere()
         corner = np.ones((4, 2))
-        rec = run_episode(_ConstantOptimizer(corner), task, EpisodeConfig(lam=4, fe_max=40))
-        assert not rec.success
-        assert rec.evals_to_success is None
+        cfg = EpisodeConfig(lam=4, fe_max=40)
+        rec = run_episode(_ConstantOptimizer(corner), task, cfg)
+        assert rec.first_hit(cfg.tolerance, 4, 40) is None
         assert rec.best_gap == evaluate(task, np.ones(2)) - task.optimum_value
 
     def test_budget_truncation(self):
@@ -160,9 +163,9 @@ class TestRunEpisode:
                 self._g += 1
                 return ActionBatch(pts)
 
-        rec = run_episode(_HitOnce(), task, EpisodeConfig(lam=5, fe_max=50))
-        assert rec.success
-        assert rec.evals_to_success == 15
+        cfg = EpisodeConfig(lam=5, fe_max=50)
+        rec = run_episode(_HitOnce(), task, cfg)
+        assert rec.first_hit(cfg.tolerance, 5, 50) == 15
         assert rec.evals_used == 50
         assert rec.best_gap == 0.0
 
@@ -173,7 +176,7 @@ class TestRunEpisode:
         a = run_episode(_UniformOptimizer(), task, cfg)
         b = run_episode(_UniformOptimizer(), task, cfg)
         assert a.evals_used == b.evals_used
-        assert a.success == b.success
+        assert a.first_hit(cfg.tolerance, 4, 40) == b.first_hit(cfg.tolerance, 4, 40)
         assert a.best_gap == b.best_gap
         np.testing.assert_array_equal(a.best_gap_trajectory, b.best_gap_trajectory)
 
@@ -259,9 +262,9 @@ class TestStopGap:
         assert len(stopped.best_gap_trajectory) == g + 1
         np.testing.assert_array_equal(stopped.best_gap_trajectory, full.best_gap_trajectory[: g + 1])
         assert stopped.best_gap == full.best_gap_trajectory[g]
-        if stop_gap <= cfg.tolerance:
-            assert stopped.success == full.success
-            assert stopped.evals_to_success == full.evals_to_success
+        for precision in (stop_gap, cfg.tolerance):
+            if precision >= stop_gap:
+                assert stopped.first_hit(precision, cfg.lam, fe_max) == full.first_hit(precision, cfg.lam, fe_max)
         return stopped, opt
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -290,15 +293,48 @@ class TestStopGap:
 
         cfg = EpisodeConfig(lam=5, fe_max=23)
         rec, _ = self._check_stop(_HitAtFour, task, cfg, cfg.tolerance)
-        assert rec.evals_used == 23 and rec.evals_to_success == 23
+        assert rec.evals_used == 23 and rec.first_hit(cfg.tolerance, 5, 23) == 23
 
     def test_immediate_optimum_stops_after_one_generation(self):
         task = make_instance(Family.RASTRIGIN, 3, 4)
         point = np.tile(task.optimum_location(), (6, 1))
         cfg = EpisodeConfig(lam=6, fe_max=60)
         rec, _ = self._check_stop(lambda: _ConstantOptimizer(point), task, cfg, cfg.tolerance)
-        assert rec.evals_used == 6 and rec.evals_to_success == 6
+        assert rec.evals_used == 6 and rec.first_hit(cfg.tolerance, 6, 60) == 6
         np.testing.assert_array_equal(rec.best_gap_trajectory, np.zeros(1))
+
+
+class TestFirstHit:
+    """``RolloutRecord.first_hit`` is the episode loop's own evaluation count."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        optimizer=st.sampled_from([RandomSearch, CmaEs]),
+        family=st.sampled_from(list(Family)),
+        instance_seed=st.integers(0, 1000),
+        episode_seed=st.integers(0, 2**16),
+        lam=st.integers(2, 9),
+        fe_max=st.integers(2, 70),
+        stop_generation=st.none() | st.integers(0, 12),
+    )
+    def test_matches_summed_generation_evaluations(
+        self, optimizer, family, instance_seed, episode_seed, lam, fe_max, stop_generation
+    ):
+        task = make_instance(family, 2, instance_seed)
+        fe_max = max(fe_max, lam)
+        cfg = EpisodeConfig(lam=lam, fe_max=fe_max, episode_seed=episode_seed)
+        full = run_episode(optimizer(), task, cfg).best_gap_trajectory
+        stop_gap = None
+        if stop_generation is not None:
+            stop_gap = float(full[min(stop_generation, len(full) - 1)])
+        record = run_episode(optimizer(), task, cfg, stop_gap=stop_gap)
+        # every gap the episode reached, one above the start and one below the end
+        precisions = {*full.tolist(), 2.0 * abs(full[0]) + 1.0, full[-1] - 1.0}
+        for precision in precisions:
+            got = record.first_hit(precision, lam, fe_max)
+            assert got == oracles.evals_to_success(record.best_gap_trajectory, lam, fe_max, precision)
+            if stop_gap is None or precision >= stop_gap:
+                assert got == oracles.evals_to_success(full, lam, fe_max, precision)
 
 
 class _RecordingRng:
@@ -397,7 +433,7 @@ class TestRandomSearchSuccessRate:
                 EpisodeConfig(lam=10, fe_max=200, tolerance=cfg_tol, episode_seed=seed),
                 stop_gap=cfg_tol,
             )
-            hits += rec.success
+            hits += rec.first_hit(cfg_tol, 10, 200) is not None
         env_rate = hits / n_episodes
 
         # reference: rotation preserves distances, so the gap of x is

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from metapop.bench import TargetSet, collect
-from metapop.env import ActionBatch, EpisodeConfig, run_episode
+from metapop.env import ActionBatch, EpisodeConfig, RolloutRecord, run_episode
 from metapop.ert import (
     ErtStats,
     collect_records,
@@ -22,19 +22,18 @@ from metapop.ert import (
 from metapop.problems import Family, InstanceConfig, Task, make_instance
 
 
-def _rec(success: bool, first_hit: int | None, best_gap: float, initial_gap: float = 10.0, evals: int = 200):
-    """Hand-built episode record with a two-point trajectory."""
-    from metapop.env import RolloutRecord
+LAM, TOL = 10, 1e-3
 
-    traj = np.array([initial_gap, best_gap])
-    return RolloutRecord(
-        evals_used=evals,
-        success=success,
-        evals_to_success=first_hit,
-        best_gap=best_gap,
-        best_gap_trajectory=traj,
-        episode_seed=0,
-    )
+
+def _rec(first_hit: int | None, best_gap: float, initial_gap: float = 10.0, evals: int = 200):
+    """Hand-built record of a lam=LAM episode: its gap drops from ``initial_gap`` to
+    ``best_gap`` at its ``first_hit``-th evaluation (at its second generation if None)."""
+    hit_generation = 1 if first_hit is None else first_hit // LAM - 1
+    traj = np.full(-(-evals // LAM), best_gap)
+    traj[:hit_generation] = initial_gap
+    rec = RolloutRecord(evals_used=evals, best_gap_trajectory=traj, episode_seed=0)
+    assert rec.first_hit(TOL, LAM, 200) == first_hit
+    return rec
 
 
 class TestExpectedRestarts:
@@ -85,10 +84,10 @@ class TestExpectedFe:
 class TestEstimate:
     def test_textbook_batch(self):
         """10 runs, 4 successes totalling 800 first-hit evals, budget 200."""
-        records = [_rec(True, 200, 0.0) for _ in range(4)] + [
-            _rec(False, None, 3.0) for _ in range(6)
+        records = [_rec(200, 0.0) for _ in range(4)] + [
+            _rec(None, 3.0) for _ in range(6)
         ]
-        stats = estimate(records, 200)
+        stats = estimate(records, TOL, LAM, 200)
         assert stats.p_hat == 0.4
         assert stats.e_fe_succ_hat == 200.0
         assert stats.expected_fe == (0.6 / 0.4) * 200 + 200
@@ -96,16 +95,16 @@ class TestEstimate:
 
     def test_all_success_at_lambda(self):
         """Universal first-generation success collapses to lambda evals."""
-        records = [_rec(True, 10, 0.0) for _ in range(5)]
-        stats = estimate(records, 200)
+        records = [_rec(10, 0.0) for _ in range(5)]
+        stats = estimate(records, TOL, LAM, 200)
         assert stats.expected_fe == 10.0
         assert stats.expected_fe == stats.e_fe_succ_hat
 
     def test_zero_success_fallback_value(self):
         """Fallback equals the documented pseudo-probability formula."""
         gaps = [5.0, 2.0, 10.0, 12.0]
-        records = [_rec(False, None, g, initial_gap=10.0) for g in gaps]
-        stats = estimate(records, 200)
+        records = [_rec(None, g, initial_gap=10.0) for g in gaps]
+        stats = estimate(records, TOL, LAM, 200)
         p_tilde = 1.0 / 8.0
         progress = sum(min(1.0, g / 10.0) for g in gaps) / 4.0
         expected = (1 - p_tilde) / p_tilde * 200 + 200 + 200 * progress
@@ -116,28 +115,28 @@ class TestEstimate:
     def test_fallback_dominates_any_single_success(self):
         """Zero successes always scores worse than one worst-case success."""
         n = 10
-        failing = [_rec(False, None, 0.01, initial_gap=1000.0) for _ in range(n)]
-        one_worst = [_rec(True, 200, 0.0)] + [_rec(False, None, 50.0) for _ in range(n - 1)]
-        assert estimate(failing, 200).expected_fe > estimate(one_worst, 200).expected_fe
+        failing = [_rec(None, 0.01, initial_gap=1000.0) for _ in range(n)]
+        one_worst = [_rec(200, 0.0)] + [_rec(None, 50.0) for _ in range(n - 1)]
+        assert estimate(failing, TOL, LAM, 200).expected_fe > estimate(one_worst, TOL, LAM, 200).expected_fe
 
     def test_more_successes_never_hurt(self):
         """Holding first-hit times fixed, extra successes lower the score."""
         values = []
         for k in range(1, 11):
-            records = [_rec(True, 100, 0.0) for _ in range(k)] + [
-                _rec(False, None, 5.0) for _ in range(10 - k)
+            records = [_rec(100, 0.0) for _ in range(k)] + [
+                _rec(None, 5.0) for _ in range(10 - k)
             ]
-            values.append(estimate(records, 200).expected_fe)
+            values.append(estimate(records, TOL, LAM, 200).expected_fe)
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_estimator_consistency_large_sample(self):
         """At 1e4 synthetic runs the estimate tracks the true process cost."""
         rng = np.random.default_rng(5)
         records = [
-            _rec(True, 80, 0.0) if rng.random() < 0.3 else _rec(False, None, 4.0)
+            _rec(80, 0.0) if rng.random() < 0.3 else _rec(None, 4.0)
             for _ in range(10_000)
         ]
-        got = estimate(records, 200).expected_fe
+        got = estimate(records, TOL, LAM, 200).expected_fe
         true = expected_fe(0.3, 80.0, 200)
         sim = oracles.simulate_restart_fe(0.3, 200.0, 80.0, 20_000, np.random.default_rng(6))
         assert abs(got - true) / true <= 0.03
@@ -145,9 +144,9 @@ class TestEstimate:
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            estimate([], 200)
+            estimate([], TOL, LAM, 200)
         with pytest.raises(ValueError):
-            estimate([_rec(True, 10, 0.0, evals=300)], 200)
+            estimate([_rec(10, 0.0, evals=300)], TOL, LAM, 200)
 
 
 class TestErtStatsValidation:
@@ -203,8 +202,8 @@ class TestMetaFitness:
         tasks = _origin_spheres(2)
         cfg = EpisodeConfig(lam=10, fe_max=200)
         grouped = [
-            [_rec(False, None, 0.7), _rec(True, 70, 1e-4), _rec(False, None, 2.0)],
-            [_rec(False, None, 3.0), _rec(False, None, 7.0), _rec(False, None, 20.0)],
+            [_rec(None, 0.7), _rec(70, 1e-4), _rec(None, 2.0)],
+            [_rec(None, 3.0), _rec(None, 7.0), _rec(None, 20.0)],
         ]
         # (2 * 200 + 70 + 5 * 200 + 200 + 200 * (0.3 + 0.7 + 1.0) / 3) / 2
         assert meta_fitness(tasks, grouped, cfg).hex() == "0x1.c2d5555555556p+9"
@@ -228,7 +227,8 @@ class TestMetaFitness:
                     episode_seed=episode_seed_for(9, task, run),
                 )
                 records.append(run_episode(_UniformOptimizer(), task, ep))
-            succ = [r.evals_to_success for r in records if r.success]
+            hits = [oracles.evals_to_success(r.best_gap_trajectory, 5, 40, 0.5) for r in records]
+            succ = [h for h in hits if h is not None]
             if succ:
                 value = oracles.naive_expected_fe(len(succ) / 6, 40.0, sum(succ) / len(succ))
             else:

@@ -222,16 +222,6 @@ class TestTrain:
         _, parallel = train(**kwargs, workers=4)
         assert serial == parallel
 
-    def test_fixed_seeds_make_best_monotone(self):
-        """With one shared seed block, elitism forbids regressions."""
-        _, history = train(
-            GaConfig(population_size=6, n_elites=2, n_parents=3, generations=4),
-            PC, _suite(), EpisodeConfig(lam=4, fe_max=40), runs_per_task=2,
-            master_seed=2, fixed_episode_seeds=True,
-        )
-        best = [r.train_best for r in history.rows]
-        assert all(a >= b for a, b in zip(best, best[1:]))
-
     def test_checkpoints_roundtrip(self, tmp_path):
         _, history = train(
             SMALL_GA, PC, _suite(), EpisodeConfig(lam=4, fe_max=40),

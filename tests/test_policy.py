@@ -401,6 +401,25 @@ class TestCheckpoint:
         assert list(data) == ["lambda", "hidden_size", "num_layers", "input_size", "output_size"]
         assert PolicyConfig.from_json(data) == cfg
 
+    def test_rejects_a_different_architecture(self):
+        for key, value in (("input_size", 3), ("output_size", 2)):
+            with pytest.raises(ValueError, match="fixed to 2 inputs and 1 output"):
+                PolicyConfig.from_json({**CFG.to_json(), key: value})
+
+    def test_rejects_a_single_individual(self, tmp_path):
+        """lambda=1 has no fitness ranks: refused on load, not at generation 1."""
+        with pytest.raises(ValueError, match="lam must be >= 2"):
+            PolicyConfig(lam=1)
+        path = tmp_path / "policy.json"
+        save_params(path, CFG, init_params(CFG, 0))
+        import json
+
+        payload = json.loads(path.read_text())
+        payload["policy_config"]["lambda"] = 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="lam must be >= 2"):
+            load_params(path)
+
     def test_roundtrip_bit_exact(self, tmp_path):
         p = init_params(CFG, 12)
         path = tmp_path / "policy.json"
