@@ -135,7 +135,7 @@ def cma_init(
 
 def _cov_eig(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition with flooring so the factor is always usable."""
-    floor = 1e-14 * float(np.trace(cov))
+    floor = 1e-14 * float(cov.trace())
     if floor <= 0.0:
         floor = 1e-300
     try:
@@ -157,7 +157,7 @@ def cma_act(state: CmaState, lam: int, rng: np.random.Generator) -> tuple[Action
     sqrt_cov = (vecs * np.sqrt(vals)) @ vecs.T
     z = rng.standard_normal((lam, state.dim))
     raw = state.mean + state.step_size * (z @ sqrt_cov.T)
-    return ActionBatch(np.clip(raw, -1.0, 1.0)), raw
+    return ActionBatch(raw.clip(-1.0, 1.0)), raw
 
 
 def cma_update(state: CmaState, sampled_points: np.ndarray, fitness: np.ndarray) -> CmaState:
@@ -170,13 +170,12 @@ def cma_update(state: CmaState, sampled_points: np.ndarray, fitness: np.ndarray)
     fit = np.asarray(fitness, dtype=float)
     if pts.shape != (state.lam, state.dim) or fit.shape != (state.lam,):
         raise ValueError("points/fitness shape does not match the state")
-    if not np.all(np.isfinite(fit)):
+    if not np.isfinite(fit).all():
         raise ValueError("fitness values must be finite")
 
     d = state.dim
     mu = state.lam // 2
-    order = np.argsort(fit, kind="stable")
-    selected = pts[order[:mu]]
+    selected = pts[fit.argsort(kind="stable")[:mu]]
     y = (selected - state.mean) / state.step_size
     y_w = state.weights @ y
     new_mean = state.mean + state.step_size * y_w
@@ -188,7 +187,7 @@ def cma_update(state: CmaState, sampled_points: np.ndarray, fitness: np.ndarray)
         c_s * (2.0 - c_s) * state.mu_eff
     ) * (inv_sqrt @ y_w)
     gen = state.generation + 1
-    norm_ps = float(np.linalg.norm(p_sigma))
+    norm_ps = math.sqrt(p_sigma @ p_sigma)  # what np.linalg.norm computes for a vector
     hsig = norm_ps / math.sqrt(1.0 - (1.0 - c_s) ** (2 * gen)) / state.chi_d < 1.4 + 2.0 / (d + 1.0)
     p_c = (1.0 - state.c_c) * state.p_c
     if hsig:
@@ -198,7 +197,7 @@ def cma_update(state: CmaState, sampled_points: np.ndarray, fitness: np.ndarray)
     delta = (1.0 - int(hsig)) * state.c_c * (2.0 - state.c_c)
     cov = (
         (1.0 - state.c1 - state.c_mu) * state.cov
-        + state.c1 * (np.outer(p_c, p_c) + delta * state.cov)
+        + state.c1 * (p_c[:, None] * p_c + delta * state.cov)
         + state.c_mu * rank_mu
     )
     cov = (cov + cov.T) / 2.0
@@ -227,11 +226,12 @@ def _boundary_shaped(raw: np.ndarray, fitness: np.ndarray) -> np.ndarray:
     instead (and strictly worse than any in-box sample) pulls the strategy
     back into the domain without touching in-box dynamics.
     """
-    viol = ((raw - np.clip(raw, -1.0, 1.0)) ** 2).sum(axis=1)
-    if not np.any(viol > 0.0):
+    if (np.abs(raw) <= 1.0).all():  # no violation to rank: skip computing it
         return np.asarray(fitness, dtype=float)
+    viol = ((raw - raw.clip(-1.0, 1.0)) ** 2).sum(axis=1)
+    out = viol > 0.0
     shaped = np.array(fitness, dtype=float)
-    shaped[viol > 0.0] = shaped.max() + viol[viol > 0.0]
+    shaped[out] = shaped.max() + viol[out]
     return shaped
 
 

@@ -157,7 +157,7 @@ def _checked_points(action: ActionBatch, lam: int, dimension: int, generation: i
         raise ProtocolError(
             f"generation {generation}: action shape {pts.shape} != ({lam}, {dimension})"
         )
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ProtocolError(f"generation {generation}: action contains non-finite values")
     return pts
 
@@ -196,7 +196,7 @@ def run_episode(
     while evals_used < fe_max:
         action = optimizer.act(obs)
         points = _checked_points(action, lam, d, generation)
-        clamped = np.clip(points, -1.0, 1.0)
+        clamped = points.clip(-1.0, 1.0)
         n_eval = min(lam, fe_max - evals_used)
         fitness = evaluate_batch(task, clamped[:n_eval])
         evals_used += n_eval

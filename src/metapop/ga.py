@@ -69,8 +69,10 @@ class Genome:
         if self.init_seed < 0:
             raise ValueError("init_seed must be non-negative")
         for seed, sigma in self.mutations:
-            if seed < 0 or sigma <= 0.0:
-                raise ValueError("mutations need non-negative seeds and positive sigma")
+            if seed < 0:
+                raise ValueError(f"mutation seed must be non-negative, got {seed}")
+            if not 0.0 < sigma < math.inf:  # false for NaN too
+                raise ValueError(f"mutation sigma must be positive and finite, got {sigma}")
 
 
 @dataclass(frozen=True)

@@ -205,19 +205,24 @@ def rank_transform(fitness: np.ndarray) -> np.ndarray:
     v = np.asarray(fitness, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise ValueError("rank_transform needs a 1-d vector of length >= 2")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("fitness values must be finite")
-    order = np.argsort(v, kind="stable")
     ranks = np.empty(v.size)
-    ranks[order] = np.arange(v.size, dtype=float)
-    return ranks / (v.size - 1)
+    ranks[v.argsort(kind="stable")] = np.arange(v.size, dtype=float)
+    ranks /= v.size - 1
+    return ranks
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows; per sign this is 1/(1+exp(-x)) or
     # exp(x)/(1+exp(x)), the same IEEE operations as a masked evaluation
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    num /= e
+    return num
 
 
 def act(
@@ -273,7 +278,7 @@ def act(
     weights *= np.exp(params.out_log_sigma)
     weights += params.out_mean
     weights[:, :hidden] *= layer_in  # the readout's bias input is 1
-    points = np.tanh(np.sum(weights, axis=1)).reshape(lam, d)
+    points = np.tanh(weights.sum(axis=1)).reshape(lam, d)
 
     for a in (h_new, c_new, points):
         a.flags.writeable = False
@@ -311,4 +316,7 @@ def save_params(path: str | Path, config: PolicyConfig, params: PolicyParams) ->
 def load_params(path: str | Path) -> tuple[PolicyConfig, PolicyParams]:
     payload = load_json(path, "parameter")
     config = PolicyConfig.from_json(payload["policy_config"])
-    return config, unflatten(config, np.asarray(payload["flat_params"], dtype=float))
+    flat = np.asarray(payload["flat_params"], dtype=float)
+    if not np.isfinite(flat).all():
+        raise ValueError(f"parameter file {path}: flat_params contains non-finite values")
+    return config, unflatten(config, flat)

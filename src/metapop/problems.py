@@ -284,12 +284,12 @@ def make_suite(
 
 
 def _form_sphere(z: np.ndarray, task: Task) -> np.ndarray:
-    return np.sum(z * z, axis=1)
+    return (z * z).sum(axis=1)
 
 
 def _form_rastrigin(z: np.ndarray, task: Task) -> np.ndarray:
     d = z.shape[1]
-    return 10.0 * d + np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z), axis=1)
+    return 10.0 * d + (z * z - 10.0 * np.cos(2.0 * np.pi * z)).sum(axis=1)
 
 
 _G_STAR = T_STAR * math.sin(math.sqrt(T_STAR))
@@ -297,10 +297,10 @@ _G_STAR = T_STAR * math.sin(math.sqrt(T_STAR))
 
 def _form_schwefel(z: np.ndarray, task: Task) -> np.ndarray:
     t = z + T_STAR
-    tc = np.clip(t, -500.0, 500.0)
+    tc = t.clip(-500.0, 500.0)
     well = _G_STAR - tc * np.sin(np.sqrt(np.abs(tc)))
     pen = 0.01 * np.maximum(0.0, np.abs(t) - 500.0) ** 2
-    return np.sum(well + pen, axis=1)
+    return (well + pen).sum(axis=1)
 
 
 def _form_lunacek(z: np.ndarray, task: Task) -> np.ndarray:
@@ -309,9 +309,10 @@ def _form_lunacek(z: np.ndarray, task: Task) -> np.ndarray:
     s = 1.0 - 1.0 / (2.0 * math.sqrt(d + 20.0) - 8.2)
     mu1 = -math.sqrt((mu0 * mu0 - 1.0) / s)
     x = z + mu0
-    sphere0 = np.sum((x - mu0) ** 2, axis=1)
-    sphere1 = 1.0 * d + s * np.sum((x - mu1) ** 2, axis=1)
-    osc = 10.0 * (d - np.sum(np.cos(2.0 * np.pi * (x - mu0)), axis=1))
+    x0 = x - mu0  # not z: the round trip through x rounds
+    sphere0 = (x0 * x0).sum(axis=1)
+    sphere1 = 1.0 * d + s * ((x - mu1) ** 2).sum(axis=1)
+    osc = 10.0 * (d - np.cos(2.0 * np.pi * x0).sum(axis=1))
     return np.minimum(sphere0, sphere1) + osc
 
 
@@ -319,7 +320,7 @@ def _form_griewank_rosenbrock(z: np.ndarray, task: Task) -> np.ndarray:
     d = z.shape[1]
     x = z + 1.0
     chain = 100.0 * (x[:, :-1] ** 2 - x[:, 1:]) ** 2 + (x[:, :-1] - 1.0) ** 2
-    return (10.0 / (d - 1)) * np.sum(chain / 4000.0 - np.cos(chain) + 1.0, axis=1)
+    return (10.0 / (d - 1)) * (chain / 4000.0 - np.cos(chain) + 1.0).sum(axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -336,7 +337,7 @@ def linear_slope_vector(task: Task) -> np.ndarray:
 
 def _form_linear_slope(z: np.ndarray, task: Task) -> np.ndarray:
     # z = x_nat - half * corner, so -s.z >= 0 on the box, 0 at the corner
-    return -np.sum(z * linear_slope_vector(task), axis=1)
+    return -(z * linear_slope_vector(task)).sum(axis=1)
 
 
 _FORMS = {
@@ -354,18 +355,18 @@ def evaluate_batch(task: Task, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != task.dimension:
         raise ValueError(f"points must have shape (n, {task.dimension})")
-    if not np.all(np.isfinite(pts)):
-        raise DomainError("points contain non-finite coordinates")
-    if np.any(np.abs(pts) > 1.0):
+    # one pass: the comparison is false for NaN and +-inf as well
+    if not (np.abs(pts) <= 1.0).all():
+        if not np.isfinite(pts).all():
+            raise DomainError("points contain non-finite coordinates")
         raise DomainError("coordinates must lie in [-1, 1]; clamp before evaluating")
     half = NATURAL_HALF_WIDTH[task.family]
-    x_nat = pts * half
-    shift_nat = task.config.shift * half
-    diff = x_nat - shift_nat
+    cfg = task.config
+    diff = pts * half - cfg.shift * half
     # row-wise reduction instead of matmul so results are bit-identical for
     # any batch size (BLAS kernels vary with shape)
-    z = np.sum(task.config.rotation[None, :, :] * diff[:, None, :], axis=2)
-    return _FORMS[task.family](z, task) + task.config.value_offset
+    z = (cfg.rotation[None, :, :] * diff[:, None, :]).sum(axis=2)
+    return _FORMS[task.family](z, task) + cfg.value_offset
 
 
 def evaluate(task: Task, x: np.ndarray) -> float:

@@ -2,19 +2,23 @@
 
 Everything here is written in plain Python (loops, math module) on purpose,
 separately from the vectorized library code, so agreement between the two is
-meaningful. Keep these naive and slow. The one exception is the reference
-policy step at the end, a frozen copy of the original vectorized step that
-optimized versions must match bit for bit.
+meaningful. Keep these naive and slow. The exceptions are the two sections
+at the end, frozen copies of earlier vectorized code (the policy step and
+the rest of the per-generation path) that optimized versions must match bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
+from metapop.baselines import CmaState
 from metapop.env import ActionBatch, Observation
-from metapop.policy import PolicyParams, PolicyState, rank_transform
+from metapop.policy import PolicyParams, PolicyState
+from metapop.problems import DomainError
 
 
 def naive_evaluate(task, x) -> float:
@@ -202,7 +206,7 @@ def reference_act(
                 f"observation shape {pts.shape}/{fit.shape} does not match state ({lam}, {d})"
             )
         x_val = pts.ravel()
-        rank_rep = np.repeat(rank_transform(fit), d)
+        rank_rep = np.repeat(reference_rank_transform(fit), d)
 
     inputs = np.stack([x_val, rank_rep], axis=1)
     h_new = np.empty_like(state.h)
@@ -231,3 +235,169 @@ def reference_act(
         a.flags.writeable = False
     new_state = PolicyState(lam=lam, dim=d, h=h_new, c=c_new, prev_point=points)
     return ActionBatch(points), new_state
+
+
+# ---------------------------------------------------------------------------
+# Frozen per-generation path: ``rank_transform``, ``evaluate_batch`` with its
+# six family forms, ``cma_update`` and ``_boundary_shaped`` exactly as written
+# before the generation step was made lean, kept verbatim so the lean
+# versions can be checked against them byte for byte (and for the same
+# exception type and message). Vectorized on purpose, like the reference
+# policy step above.
+
+
+def reference_rank_transform(fitness: np.ndarray) -> np.ndarray:
+    v = np.asarray(fitness, dtype=float)
+    if v.ndim != 1 or v.size < 2:
+        raise ValueError("rank_transform needs a 1-d vector of length >= 2")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("fitness values must be finite")
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(v.size)
+    ranks[order] = np.arange(v.size, dtype=float)
+    return ranks / (v.size - 1)
+
+
+def _reference_form_sphere(z, task):
+    return np.sum(z * z, axis=1)
+
+
+def _reference_form_rastrigin(z, task):
+    d = z.shape[1]
+    return 10.0 * d + np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z), axis=1)
+
+
+_REFERENCE_T_STAR = 420.96874635998205
+_REFERENCE_G_STAR = _REFERENCE_T_STAR * math.sin(math.sqrt(_REFERENCE_T_STAR))
+
+
+def _reference_form_schwefel(z, task):
+    t = z + _REFERENCE_T_STAR
+    tc = np.clip(t, -500.0, 500.0)
+    well = _REFERENCE_G_STAR - tc * np.sin(np.sqrt(np.abs(tc)))
+    pen = 0.01 * np.maximum(0.0, np.abs(t) - 500.0) ** 2
+    return np.sum(well + pen, axis=1)
+
+
+def _reference_form_lunacek(z, task):
+    d = z.shape[1]
+    mu0 = 2.5
+    s = 1.0 - 1.0 / (2.0 * math.sqrt(d + 20.0) - 8.2)
+    mu1 = -math.sqrt((mu0 * mu0 - 1.0) / s)
+    x = z + mu0
+    sphere0 = np.sum((x - mu0) ** 2, axis=1)
+    sphere1 = 1.0 * d + s * np.sum((x - mu1) ** 2, axis=1)
+    osc = 10.0 * (d - np.sum(np.cos(2.0 * np.pi * (x - mu0)), axis=1))
+    return np.minimum(sphere0, sphere1) + osc
+
+
+def _reference_form_griewank_rosenbrock(z, task):
+    d = z.shape[1]
+    x = z + 1.0
+    chain = 100.0 * (x[:, :-1] ** 2 - x[:, 1:]) ** 2 + (x[:, :-1] - 1.0) ** 2
+    return (10.0 / (d - 1)) * np.sum(chain / 4000.0 - np.cos(chain) + 1.0, axis=1)
+
+
+def _reference_form_linear_slope(z, task):
+    slopes = task.config.shift * 10.0 ** np.linspace(0.0, 1.0, task.dimension)
+    return -np.sum(z * slopes, axis=1)
+
+
+_REFERENCE_FORMS = {
+    "sphere": _reference_form_sphere,
+    "linear-slope": _reference_form_linear_slope,
+    "rastrigin": _reference_form_rastrigin,
+    "schwefel": _reference_form_schwefel,
+    "lunacek-bi-rastrigin": _reference_form_lunacek,
+    "griewank-rosenbrock": _reference_form_griewank_rosenbrock,
+}
+
+
+def reference_evaluate_batch(task, points: np.ndarray) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != task.dimension:
+        raise ValueError(f"points must have shape (n, {task.dimension})")
+    if not np.all(np.isfinite(pts)):
+        raise DomainError("points contain non-finite coordinates")
+    if np.any(np.abs(pts) > 1.0):
+        raise DomainError("coordinates must lie in [-1, 1]; clamp before evaluating")
+    half = {"schwefel": 500.0}.get(task.family.value, 5.0)
+    x_nat = pts * half
+    shift_nat = task.config.shift * half
+    diff = x_nat - shift_nat
+    z = np.sum(task.config.rotation[None, :, :] * diff[:, None, :], axis=2)
+    return _REFERENCE_FORMS[task.family.value](z, task) + task.config.value_offset
+
+
+def reference_cov_eig(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    floor = 1e-14 * float(np.trace(cov))
+    if floor <= 0.0:
+        floor = 1e-300
+    try:
+        vals, vecs = np.linalg.eigh(cov)
+    except np.linalg.LinAlgError:
+        vals, vecs = np.linalg.eigh(cov + floor * np.eye(cov.shape[0]))
+    return np.maximum(vals, floor), vecs
+
+
+def reference_cma_update(state: CmaState, sampled_points: np.ndarray, fitness: np.ndarray) -> CmaState:
+    """The CMA-ES update; it decomposes ``state.cov`` itself instead of reading ``state.eig``."""
+    pts = np.asarray(sampled_points, dtype=float)
+    fit = np.asarray(fitness, dtype=float)
+    if pts.shape != (state.lam, state.dim) or fit.shape != (state.lam,):
+        raise ValueError("points/fitness shape does not match the state")
+    if not np.all(np.isfinite(fit)):
+        raise ValueError("fitness values must be finite")
+
+    d = state.dim
+    mu = state.lam // 2
+    order = np.argsort(fit, kind="stable")
+    selected = pts[order[:mu]]
+    y = (selected - state.mean) / state.step_size
+    y_w = state.weights @ y
+    new_mean = state.mean + state.step_size * y_w
+
+    vals, vecs = reference_cov_eig(state.cov)
+    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
+    c_s, d_s = state.c_sigma, state.d_sigma
+    p_sigma = (1.0 - c_s) * state.p_sigma + math.sqrt(
+        c_s * (2.0 - c_s) * state.mu_eff
+    ) * (inv_sqrt @ y_w)
+    gen = state.generation + 1
+    norm_ps = float(np.linalg.norm(p_sigma))
+    hsig = norm_ps / math.sqrt(1.0 - (1.0 - c_s) ** (2 * gen)) / state.chi_d < 1.4 + 2.0 / (d + 1.0)
+    p_c = (1.0 - state.c_c) * state.p_c
+    if hsig:
+        p_c = p_c + math.sqrt(state.c_c * (2.0 - state.c_c) * state.mu_eff) * y_w
+
+    rank_mu = (state.weights[:, None, None] * (y[:, :, None] * y[:, None, :])).sum(axis=0)
+    delta = (1.0 - int(hsig)) * state.c_c * (2.0 - state.c_c)
+    cov = (
+        (1.0 - state.c1 - state.c_mu) * state.cov
+        + state.c1 * (np.outer(p_c, p_c) + delta * state.cov)
+        + state.c_mu * rank_mu
+    )
+    cov = (cov + cov.T) / 2.0
+
+    step = state.step_size * math.exp(min(1.0, (c_s / d_s) * (norm_ps / state.chi_d - 1.0)))
+
+    for a in (new_mean, p_sigma, p_c, cov):
+        a.flags.writeable = False
+    return replace(
+        state,
+        mean=new_mean,
+        step_size=step,
+        cov=cov,
+        p_sigma=p_sigma,
+        p_c=p_c,
+        generation=gen,
+    )
+
+
+def reference_boundary_shaped(raw: np.ndarray, fitness: np.ndarray) -> np.ndarray:
+    viol = ((raw - np.clip(raw, -1.0, 1.0)) ** 2).sum(axis=1)
+    if not np.any(viol > 0.0):
+        return np.asarray(fitness, dtype=float)
+    shaped = np.array(fitness, dtype=float)
+    shaped[viol > 0.0] = shaped.max() + viol[viol > 0.0]
+    return shaped

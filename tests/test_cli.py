@@ -304,6 +304,29 @@ class TestDecode:
         for name in ("ecdf.csv", "ert.csv"):
             assert (out_g / name).read_bytes() == (out_p / name).read_bytes()
 
+    def test_non_finite_sigma_exits_1_before_writing(self, tmp_path, capsys):
+        genome_path, _, _ = _tiny_genome(tmp_path)
+        genome_path.write_text(genome_path.read_text().replace("0.2]", "NaN]"))
+        out = tmp_path / "params.json"
+        assert main(["decode", str(genome_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: mutation sigma must be positive and finite, got nan\n"
+        assert not out.exists()
+
+    def test_eval_of_non_finite_params_exits_1_before_any_output(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        genome_path, _, _ = _tiny_genome(tmp_path)
+        params_path = tmp_path / "params.json"
+        assert main(["decode", str(genome_path), "--out", str(params_path)]) == 0
+        payload = json.loads(params_path.read_text())
+        payload["flat_params"][3] = float("nan")
+        params_path.write_text(json.dumps(payload))
+        out = tmp_path / "never"
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--params", str(params_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "flat_params contains non-finite values" in err and "params.json" in err
+        assert not out.exists()
+
 
 class TestUsage:
     def test_no_command_exits_2(self, capsys):

@@ -72,6 +72,9 @@ class TestDecode:
             Genome(-1)
         with pytest.raises(ValueError):
             Genome(0, ((1, 0.0),))
+        for sigma in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="mutation sigma must be positive and finite"):
+                Genome(0, ((1, 0.2), (2, sigma)))
 
 
 class TestDecodeWithAncestors:

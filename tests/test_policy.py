@@ -428,6 +428,18 @@ class TestCheckpoint:
         assert cfg2 == CFG
         np.testing.assert_array_equal(flatten(p2), flatten(p))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_params(self, tmp_path, bad):
+        path = tmp_path / "policy.json"
+        save_params(path, CFG, init_params(CFG, 0))
+        import json
+
+        payload = json.loads(path.read_text())
+        payload["flat_params"][7] = bad
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="flat_params contains non-finite values"):
+            load_params(path)
+
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "policy.json"
         save_params(path, CFG, init_params(CFG, 0))
